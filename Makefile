@@ -4,15 +4,16 @@ GO ?= go
 # microbenchmarks, and the observability hot-path (hooks-disabled overhead).
 BENCH_PKGS = ./ ./internal/sim/ ./internal/obs/
 
-.PHONY: ci build vet test race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff trace-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke par-smoke dash-smoke
+.PHONY: ci build bench-build vet test race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff trace-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke par-smoke dash-smoke
 
-# ci is the gate: vet, build, the full suite under the race detector
+# ci is the gate: vet, build (the root module and the nested nvbench
+# benchmark harness), the full suite under the race detector
 # (including the nvmserved integration tests and the randomized ADR
 # crash-consistency property test), a short fuzz smoke per target, a
 # single-iteration bench smoke, a trace-export smoke, a checkpoint/restore
 # smoke, a parallel-engine byte-identity smoke, a 3-node cluster smoke, a
 # seeded chaos soak, a fleet-dashboard smoke, and a gofmt check.
-ci: vet build race fuzz-smoke bench-smoke trace-smoke ckpt-smoke par-smoke cluster-smoke chaos-smoke dash-smoke fmt-check
+ci: vet build bench-build race fuzz-smoke bench-smoke trace-smoke ckpt-smoke par-smoke cluster-smoke chaos-smoke dash-smoke fmt-check
 
 # dash-smoke boots a 2-node in-process loopback fleet, runs one job, fetches
 # GET /v1/dashboard/data from every member, and validates the payload twice:
@@ -28,8 +29,8 @@ dash-smoke:
 # detector and byte-diffs the outputs: TestParallelByteIdentical renders
 # every canonical figure shape serially and with sharded cycle rounds
 # (-par 2 and 4) and compares canonical result bytes plus job hashes; the
-# sim-level property tests replay randomized cross-shard programs and
-# checkpoint cuts the same way. Both raise GOMAXPROCS internally so the
+# sim-level property tests replay randomized cross-shard programs the same
+# way, including with the worker pool budget exhausted. Both raise GOMAXPROCS internally so the
 # shard workers really run concurrently even on small CI hosts.
 par-smoke:
 	$(GO) test -race -count=1 ./internal/server/ -run 'TestParallelByteIdentical|TestSimParallelExcludedFromHash'
@@ -135,6 +136,13 @@ fuzz:
 
 build:
 	$(GO) build ./...
+
+# bench-build vets the nvbench harness, a nested module that the root
+# `go build ./...` never reaches, so an internal API change cannot break the
+# benchmark unnoticed. The module replaces repro with this checkout and needs
+# nothing outside it, hence the workspace, flags and proxy are switched off.
+bench-build:
+	GOWORK=off GOFLAGS= GOPROXY=off $(GO) -C nvbench vet ./...
 
 vet:
 	$(GO) vet ./...

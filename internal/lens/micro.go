@@ -112,8 +112,9 @@ func PtrChase(mk MakeSystem, region, blockSize uint64, op mem.Op, opt Options) f
 		steps = 64
 	}
 	accs := chaseAccesses(region, blockSize, op, steps, 0, opt.Seed+1)
-	res := d.RunChainTimed(accs)
-	return mem.ToNs(sys, res.TotalCycles) / float64(len(accs))
+	start := sys.Engine().Now()
+	d.RunChain(accs)
+	return mem.ToNs(sys, sys.Engine().Now()-start) / float64(len(accs))
 }
 
 // PtrChaseSweep measures latency per CL across region sizes (the buffer

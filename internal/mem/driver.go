@@ -100,32 +100,36 @@ type Access struct {
 	Data []byte
 }
 
+// runUntil runs the engine until done reports true, checking it before each
+// dispatch. It panics if the queue empties first: a model that stops
+// scheduling while the driver still waits on it has deadlocked, a bug we
+// want loudly. what names the wait in the panic.
+func (d *Driver) runUntil(done func() bool, what string) {
+	ok := false
+	d.sys.Engine().RunWhile(func() bool { ok = done(); return !ok })
+	if !ok {
+		panic("mem: " + what + " stalled with no pending events (model deadlock)")
+	}
+}
+
 // submitBlocking offers r until accepted, advancing the engine to drain
-// backpressure. It panics if the system can make no progress, which would
-// indicate a deadlocked model (a bug we want loudly).
+// backpressure.
 func (d *Driver) submitBlocking(r *Request) {
-	eng := d.sys.Engine()
 	if d.o.Active() {
 		// Arg deliberately stays 0: PosIssue events carrying a nonzero Arg
 		// render as duration slices in the Chrome exporter.
-		d.o.Emit(obs.Event{Now: eng.Now(), Stage: obs.StageRequest, Pos: obs.PosIssue,
+		d.o.Emit(obs.Event{Now: d.sys.Engine().Now(), Stage: obs.StageRequest, Pos: obs.PosIssue,
 			Write: r.Op != OpRead && r.Op != OpFence, Comp: "driver", Addr: r.Addr})
 	}
-	for !d.sys.Submit(r) {
-		if eng.Pending() == 0 {
-			panic("mem: system refused request with no pending events (model deadlock)")
-		}
-		fired := eng.Fired()
-		eng.RunWhile(func() bool { return eng.Fired() == fired })
-	}
+	d.runUntil(func() bool { return d.sys.Submit(r) }, "submission")
 }
 
 // RunChain issues accesses strictly one at a time: access i+1 is submitted
 // only once access i completed. It returns the per-access latency in cycles.
 // This is the timing discipline of a pointer-chasing load loop, where the
-// next address depends on the loaded value.
+// next address depends on the loaded value. The checkpoint policy applies
+// only to the windowed stream: RunChain, and so Fence, executes no barriers.
 func (d *Driver) RunChain(accs []Access) []sim.Cycle {
-	eng := d.sys.Engine()
 	lats := make([]sim.Cycle, 0, len(accs))
 	for _, a := range accs {
 		d.nextID++
@@ -133,27 +137,10 @@ func (d *Driver) RunChain(accs []Access) []sim.Cycle {
 		r := &Request{ID: d.nextID, Op: a.Op, Addr: a.Addr, Size: a.Size, Data: a.Data,
 			OnDone: func(r *Request) { done = true; d.noteDone(r) }}
 		d.submitBlocking(r)
-		eng.RunWhile(func() bool { return !done })
-		if !done {
-			panic("mem: request never completed (model deadlock)")
-		}
+		d.runUntil(func() bool { return done }, "request")
 		lats = append(lats, r.Latency())
 	}
 	return lats
-}
-
-// ChainResult summarizes a RunChain run in wall-clock terms.
-type ChainResult struct {
-	Latencies []sim.Cycle
-	// TotalCycles is the span from first submit to last completion.
-	TotalCycles sim.Cycle
-}
-
-// RunChainTimed is RunChain plus the total elapsed cycles.
-func (d *Driver) RunChainTimed(accs []Access) ChainResult {
-	start := d.sys.Engine().Now()
-	lats := d.RunChain(accs)
-	return ChainResult{Latencies: lats, TotalCycles: d.sys.Engine().Now() - start}
 }
 
 // RunWindow issues accesses keeping up to window requests outstanding, the
@@ -189,6 +176,8 @@ func (d *Driver) RunWindowChecked(accs []Access, window int, keepGoing func() bo
 		d.runStart = start
 	}
 	inflight := 0
+	drained := func() bool { return inflight == 0 }
+	windowOpen := func() bool { return inflight < window }
 	completed := true
 	for i := first; i < len(accs); i++ {
 		a := accs[i]
@@ -197,13 +186,7 @@ func (d *Driver) RunWindowChecked(accs []Access, window int, keepGoing func() bo
 			// hand the idle cut to the sink. The drain is executed even with a
 			// nil sink so barrier placement — part of the plan — perturbs a
 			// non-checkpointing run identically.
-			for inflight > 0 {
-				if eng.Pending() == 0 {
-					panic("mem: barrier drain stalled with no pending events (model deadlock)")
-				}
-				fired := eng.Fired()
-				eng.RunWhile(func() bool { return eng.Fired() == fired })
-			}
+			d.runUntil(drained, "barrier drain")
 			eng.Run()
 			if d.ckpt.Sink != nil {
 				if err := d.ckpt.Sink(i); err != nil {
@@ -217,26 +200,14 @@ func (d *Driver) RunWindowChecked(accs []Access, window int, keepGoing func() bo
 			completed = false
 			break
 		}
-		for inflight >= window {
-			fired := eng.Fired()
-			eng.RunWhile(func() bool { return eng.Fired() == fired && inflight >= window })
-			if inflight >= window && eng.Pending() == 0 {
-				panic("mem: window stalled with no pending events (model deadlock)")
-			}
-		}
+		d.runUntil(windowOpen, "window")
 		d.nextID++
 		r := &Request{ID: d.nextID, Op: a.Op, Addr: a.Addr, Size: a.Size, Data: a.Data,
 			OnDone: func(r *Request) { inflight--; d.noteDone(r) }}
 		d.submitBlocking(r)
 		inflight++
 	}
-	for inflight > 0 {
-		if eng.Pending() == 0 {
-			panic("mem: drain stalled with no pending events (model deadlock)")
-		}
-		fired := eng.Fired()
-		eng.RunWhile(func() bool { return eng.Fired() == fired })
-	}
+	d.runUntil(drained, "drain")
 	return eng.Now() - start, completed
 }
 

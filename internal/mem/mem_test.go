@@ -128,6 +128,30 @@ func (f *fakeSystem) Submit(r *Request) bool {
 	return true
 }
 
+// stuckSystem accepts every request and never completes one.
+type stuckSystem struct{ fakeSystem }
+
+func (s *stuckSystem) Submit(*Request) bool { return true }
+
+// TestDriverDeadlockPanics: every driver wait panics instead of spinning when
+// the engine runs dry before the awaited condition holds.
+func TestDriverDeadlockPanics(t *testing.T) {
+	for name, run := range map[string]func(){
+		"refused":     func() { NewDriver(newFakeSystem(5, 0)).RunChain([]Access{{Op: OpRead}}) },
+		"lost chain":  func() { NewDriver(&stuckSystem{*newFakeSystem(5, 1)}).RunChain([]Access{{Op: OpRead}}) },
+		"lost window": func() { NewDriver(&stuckSystem{*newFakeSystem(5, 1)}).RunWindow(make([]Access, 4), 2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no deadlock panic", name)
+				}
+			}()
+			run()
+		}()
+	}
+}
+
 func TestDriverRunChainSerializes(t *testing.T) {
 	sys := newFakeSystem(10, 4)
 	d := NewDriver(sys)
@@ -177,15 +201,6 @@ func TestDriverBackpressure(t *testing.T) {
 	// Capacity 2, latency 5: 10 reqs finish in ceil(10/2)*5 = 25 cycles.
 	if elapsed != 25 {
 		t.Fatalf("elapsed = %d, want 25", elapsed)
-	}
-}
-
-func TestDriverRunChainTimed(t *testing.T) {
-	sys := newFakeSystem(7, 1)
-	d := NewDriver(sys)
-	res := d.RunChainTimed([]Access{{Op: OpRead, Size: 64}, {Op: OpRead, Addr: 64, Size: 64}})
-	if res.TotalCycles != 14 {
-		t.Fatalf("TotalCycles = %d, want 14", res.TotalCycles)
 	}
 }
 

@@ -53,19 +53,6 @@ func TestRMWReinsertRefreshes(t *testing.T) {
 	}
 }
 
-func TestRMWDirtyBlocksAndClean(t *testing.T) {
-	b := NewRMWBuffer(4)
-	b.Insert(0)
-	b.Insert(256)
-	b.MarkDirty(0)
-	b.MarkDirty(256)
-	b.Clean(0)
-	dirty := b.DirtyBlocks()
-	if len(dirty) != 1 || dirty[0] != 256 {
-		t.Fatalf("DirtyBlocks = %v", dirty)
-	}
-}
-
 // Property: RMW buffer never exceeds capacity and lookups after insert hit.
 func TestRMWCapacityInvariant(t *testing.T) {
 	f := func(seed uint64) bool {

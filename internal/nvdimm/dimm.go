@@ -676,29 +676,6 @@ func (d *DIMM) Flush(done func()) {
 	d.eng.After(1, poll)
 }
 
-// FlushWriteBack additionally writes back all dirty RMW lines (write-back
-// mode); in write-through mode it is equivalent to Flush.
-func (d *DIMM) FlushWriteBack(done func()) {
-	d.Flush(func() {
-		dirty := d.rmw.DirtyBlocks()
-		if len(dirty) == 0 {
-			done()
-			return
-		}
-		remaining := len(dirty)
-		for _, b := range dirty {
-			b := b
-			d.rmw.Clean(b)
-			d.aitWrite(b, func() {
-				remaining--
-				if remaining == 0 {
-					done()
-				}
-			})
-		}
-	})
-}
-
 // ReadData returns n bytes at addr from the functional store through the
 // current translation (test support).
 func (d *DIMM) ReadData(addr uint64, n int) []byte {

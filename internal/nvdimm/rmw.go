@@ -88,21 +88,3 @@ func (b *RMWBuffer) MarkDirty(block uint64) bool {
 	}
 	return ok
 }
-
-// Clean clears the dirty flag (after write-back or write-through).
-func (b *RMWBuffer) Clean(block uint64) {
-	if l, ok := b.lines[block]; ok {
-		l.dirty = false
-	}
-}
-
-// DirtyBlocks returns the resident dirty line addresses (flush support).
-func (b *RMWBuffer) DirtyBlocks() []uint64 {
-	var out []uint64
-	for a, l := range b.lines {
-		if l.dirty {
-			out = append(out, a)
-		}
-	}
-	return out
-}

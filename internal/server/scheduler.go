@@ -203,16 +203,25 @@ type Server struct {
 	state *stateStore
 	warm  *warmCache
 
-	mu        sync.Mutex
-	jobs      map[string]*Job
-	inflight  map[string]*Job // hash -> first active (queued/running) job
-	nextID    uint64
-	draining  bool
-	fill      FillFunc
-	ckptRepl  CkptReplicateFunc
-	nodeID    string
-	addr      string
-	extraProm []func(io.Writer) error
+	mu sync.Mutex
+	// jobs registers every job an id resolves for: all active (queued or
+	// running) jobs, which active also lists, plus the last
+	// maxRetainedJobs terminal ones in retirement order (retired is a ring,
+	// retiredNext its oldest slot once full). Older terminal jobs are
+	// forgotten — their ids 404 — and their results stay reachable by hash
+	// through the cache.
+	jobs        map[string]*Job
+	active      map[string]*Job
+	retired     []string
+	retiredNext int
+	inflight    map[string]*Job // hash -> first active (queued/running) job
+	nextID      uint64
+	draining    bool
+	fill        FillFunc
+	ckptRepl    CkptReplicateFunc
+	nodeID      string
+	addr        string
+	extraProm   []func(io.Writer) error
 }
 
 // CkptReplicateFunc pushes a freshly persisted job snapshot somewhere safer
@@ -281,6 +290,7 @@ func New(opts Options) *Server {
 		runCtx:    ctx,
 		runCancel: cancel,
 		jobs:      make(map[string]*Job),
+		active:    make(map[string]*Job),
 		inflight:  make(map[string]*Job),
 	}
 	// Reload results finished before the previous shutdown: resubmitting the
@@ -361,6 +371,7 @@ func (s *Server) submit(ctx context.Context, spec JobSpec, noFill bool) (JobStat
 		j.started, j.finished = now, now
 		close(j.done)
 		s.jobs[j.id] = j
+		s.retireLocked(j)
 		st := j.statusLocked()
 		s.mu.Unlock()
 		s.metrics.jobAccepted()
@@ -370,6 +381,7 @@ func (s *Server) submit(ctx context.Context, spec JobSpec, noFill bool) (JobStat
 	select {
 	case s.queue <- j:
 		s.jobs[j.id] = j
+		s.active[j.id] = j
 		// First active job for this hash: record it so peers asking for the
 		// hash can wait on the in-flight computation (single-flight on the
 		// owner) instead of stampeding or missing.
@@ -559,7 +571,25 @@ func (s *Server) finalize(j *Job, res *Result, err error, wall time.Duration) {
 		s.brk.RecordFailure()
 	}
 	close(j.done)
+	delete(s.active, j.id)
+	s.retireLocked(j)
 	s.mu.Unlock()
+}
+
+// maxRetainedJobs bounds how many terminal jobs stay resolvable by id, so a
+// long-lived daemon's job registry does not grow with every request served.
+const maxRetainedJobs = 4096
+
+// retireLocked records j as terminal, evicting the oldest retained terminal
+// job from the registry once maxRetainedJobs are held. The caller holds s.mu.
+func (s *Server) retireLocked(j *Job) {
+	if len(s.retired) < maxRetainedJobs {
+		s.retired = append(s.retired, j.id)
+		return
+	}
+	delete(s.jobs, s.retired[s.retiredNext])
+	s.retired[s.retiredNext] = j.id
+	s.retiredNext = (s.retiredNext + 1) % maxRetainedJobs
 }
 
 // runWithRetry executes the plan, retrying transient injected faults with
@@ -679,8 +709,9 @@ func (s *Server) Wait(ctx context.Context, id string) (JobStatus, error) {
 	}
 	select {
 	case <-j.done:
-		st, _ := s.Status(id)
-		return st, nil
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return j.statusLocked(), nil
 	case <-ctx.Done():
 		return JobStatus{}, ctx.Err()
 	}
@@ -736,11 +767,9 @@ func (s *Server) ShutdownDrain(drainTimeout time.Duration) (DrainSummary, bool) 
 	s.mu.Lock()
 	already := s.draining
 	s.draining = true
-	var active []*Job
-	for _, j := range s.jobs {
-		if j.state == JobQueued || j.state == JobRunning {
-			active = append(active, j)
-		}
+	active := make([]*Job, 0, len(s.active))
+	for _, j := range s.active {
+		active = append(active, j)
 	}
 	if !already {
 		// Submissions send on s.queue only while holding s.mu with

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"net/http"
 	"runtime"
 	"testing"
 	"time"
@@ -211,4 +212,65 @@ func waitForGoroutines(t *testing.T, baseline int) {
 	n := runtime.Stack(buf, true)
 	t.Fatalf("goroutines leaked: baseline %d, now %d\n%s",
 		baseline, runtime.NumGoroutine(), buf[:n])
+}
+
+// TestJobRegistryBounded floods the server with more cache-hit submissions
+// than maxRetainedJobs while one slow job occupies the only worker. The
+// registry must stay bounded, keep the active job and the most recent
+// terminal ones, and forget the oldest: their ids 404 on status and result
+// while the result itself stays reachable by hash.
+func TestJobRegistryBounded(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, JobTimeout: time.Minute})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	first, err := s.Submit(chaseSpec("16K", 1))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if st, err := s.Wait(ctx, first.ID); err != nil || st.State != JobDone {
+		t.Fatalf("first job: %+v, %v", st, err)
+	}
+	slow, err := s.Submit(slowSpec(3))
+	if err != nil {
+		t.Fatalf("Submit slow: %v", err)
+	}
+
+	var last JobStatus
+	for i := 0; i < maxRetainedJobs+50; i++ {
+		if last, err = s.Submit(chaseSpec("16K", 1)); err != nil || !last.Cached {
+			t.Fatalf("flood submission %d: %+v, %v", i, last, err)
+		}
+	}
+
+	s.mu.Lock()
+	registered := len(s.jobs)
+	s.mu.Unlock()
+	if registered > maxRetainedJobs+1 {
+		t.Fatalf("registry holds %d jobs, want at most %d terminal + 1 active", registered, maxRetainedJobs)
+	}
+	if st, ok := s.Status(slow.ID); !ok || (st.State != JobQueued && st.State != JobRunning) {
+		t.Fatalf("active job lost or finished early: %+v, %v", st, ok)
+	}
+	if st, ok := s.Status(last.ID); !ok || st.State != JobDone {
+		t.Fatalf("most recent job not resolvable: %+v, %v", st, ok)
+	}
+	for _, path := range []string{"/v1/jobs/" + first.ID, "/v1/jobs/" + first.ID + "/result"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s of an evicted job = %d, want 404", path, resp.StatusCode)
+		}
+	}
+	if _, ok := s.ResultByHash(first.Hash); !ok {
+		t.Fatal("evicted job's result no longer reachable by hash")
+	}
+
+	sum, _ := s.ShutdownDrain(0)
+	if got := sum.Finished + sum.Checkpointed + sum.Canceled; got != 1 {
+		t.Fatalf("drain accounted for %d jobs (%+v), want only the 1 active job", got, sum)
+	}
 }

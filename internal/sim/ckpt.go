@@ -2,91 +2,49 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ckpt"
 )
 
-// SaveState serializes the engine: the clock (now, seq), the execution
-// counters (fired, peak pending), and every pending event as
-// (at, seq, rid, shard). Field order: now, seq, fired, peak, event count,
-// then events sorted by (at, seq). The shard tag is part of the record so a
-// restored run keeps the exact round structure — and therefore the exact
-// byte output — of an uninterrupted one, on either the serial or the
-// parallel execution path.
-//
-// Only events scheduled through ScheduleRecurring can be saved — a pending
-// plain closure has no identity outside this process, so its presence is an
-// error. The vans driver cuts checkpoints at engine-idle barriers where the
-// queue is empty, which trivially satisfies this; the recurring-ID path
-// exists so mid-burst cuts (pollers in flight) also serialize.
+// SaveState serializes an idle engine: the clock (now, seq) and the
+// execution counters (fired, peak pending), followed by a pending-event
+// count that is always 0. Checkpoints are cut only at engine-idle barriers —
+// a pending event holds a callback with no identity outside this process —
+// so SaveState fails while anything is pending.
 func (e *Engine) SaveState(enc *ckpt.Enc) error {
+	if n := e.Pending(); n != 0 {
+		return fmt.Errorf("sim: %d events pending; checkpoint only an idle engine", n)
+	}
 	enc.U64(uint64(e.now))
 	enc.U64(e.seq)
 	enc.U64(e.fired)
 	enc.U64(uint64(e.peak))
-
-	evs := make([]event, 0, e.Pending())
-	evs = append(evs, e.heap...)
-	evs = append(evs, e.nowq[e.nowHead:]...)
-	sort.Slice(evs, func(i, j int) bool { return evs[i].before(&evs[j]) })
-	enc.U32(uint32(len(evs)))
-	for i := range evs {
-		if evs[i].ridOf() == 0 {
-			return fmt.Errorf("sim: pending closure event at cycle %d cannot be checkpointed (schedule it via ScheduleRecurring)", evs[i].at)
-		}
-		enc.U64(uint64(evs[i].at))
-		enc.U64(evs[i].seq)
-		enc.U64(evs[i].ridOf())
-		enc.U32(uint32(evs[i].shardOf()))
-	}
+	enc.U32(0)
 	return nil
 }
 
-// LoadState restores state captured by SaveState into an engine whose
-// recurring callbacks have already been re-registered under the same IDs.
-// Pending events are rebuilt from the registry; an event whose ID is not
-// registered is a corrupt or mismatched snapshot.
+// LoadState restores state captured by SaveState into an idle engine. A
+// snapshot claiming pending events cannot have come from SaveState and is
+// rejected as corrupt.
 func (e *Engine) LoadState(dec *ckpt.Dec) error {
+	if n := e.Pending(); n != 0 {
+		return fmt.Errorf("sim: %d events pending; restore only into an idle engine", n)
+	}
 	now := Cycle(dec.U64())
 	seq := dec.U64()
 	fired := dec.U64()
 	peak := int(dec.U64())
-	n := dec.Count(28)
+	n := dec.U32()
 	if err := dec.Err(); err != nil {
 		return err
 	}
-
+	if n != 0 {
+		return fmt.Errorf("%w: engine snapshot claims %d pending events", ckpt.ErrCorrupt, n)
+	}
 	e.now = now
 	e.seq = seq
 	e.fired = fired
 	e.peak = peak
-	e.heap = e.heap[:0]
-	e.nowq = e.nowq[:0]
-	e.nowHead = 0
-	for i := 0; i < n; i++ {
-		at := Cycle(dec.U64())
-		evSeq := dec.U64()
-		rid := dec.U64()
-		shard := int32(dec.U32())
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		fn, ok := e.recurring[rid]
-		if !ok {
-			return fmt.Errorf("%w: pending event references unregistered recurring callback %d",
-				ckpt.ErrCorrupt, rid)
-		}
-		if evSeq > seq {
-			return fmt.Errorf("%w: event seq %d beyond engine seq %d", ckpt.ErrCorrupt, evSeq, seq)
-		}
-		// All restored events go through the heap: step() orders strictly by
-		// (at, seq) across heap and FIFO, so the original firing order is
-		// reproduced even for events that lived in the same-cycle FIFO when
-		// captured.
-		e.heapPush(event{at: at, seq: evSeq, tag: mkTag(rid, shard), fn: fn})
-	}
-	e.notePeak()
 	return nil
 }
 

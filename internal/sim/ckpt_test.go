@@ -7,126 +7,81 @@ import (
 	"repro/internal/ckpt"
 )
 
-// recorder is a deterministic workload of interleaved recurring callbacks:
-// each callback appends its (id, cycle) firing to the log and reschedules
-// itself until its budget runs out.
-type recorder struct {
-	eng    *Engine
-	log    []uint64
-	budget map[uint64]int
-	period map[uint64]Cycle
-}
-
-func (r *recorder) register(id uint64, period Cycle, budget int) {
-	r.budget[id] = budget
-	r.period[id] = period
-	r.eng.RegisterRecurring(id, func() {
-		r.log = append(r.log, id<<32|uint64(r.eng.Now()))
-		if r.budget[id] > 0 {
-			r.budget[id]--
-			r.eng.AfterRecurring(r.period[id], id)
-		}
-	})
-}
-
-func newRecorder(eng *Engine) *recorder {
-	r := &recorder{eng: eng, budget: map[uint64]int{}, period: map[uint64]Cycle{}}
-	r.register(1, 3, 20)
-	r.register(2, 5, 12)
-	r.register(3, 7, 9)
-	eng.ScheduleRecurring(1, 1)
-	eng.ScheduleRecurring(2, 2)
-	eng.ScheduleRecurring(2, 3)
-	return r
-}
-
-// TestEngineCheckpointRoundTrip runs half the workload, checkpoints with the
-// queue non-empty, restores into a fresh engine, and requires the combined
-// firing log and final clock to match an uninterrupted run exactly.
+// TestEngineCheckpointRoundTrip runs a workload to an idle cut, restores the
+// clock and counters into a fresh engine, and requires the continuation to
+// match an uninterrupted run: the same clock, seq, fired, and peak after a
+// second phase scheduled identically on both.
 func TestEngineCheckpointRoundTrip(t *testing.T) {
+	phase := func(e *Engine, base Cycle, n int) {
+		for i := 0; i < n; i++ {
+			e.Schedule(base+Cycle(i%7), func() { e.After(3, func() {}) })
+		}
+		e.Run()
+	}
 	straight := NewEngine()
-	sr := newRecorder(straight)
-	straight.Run()
+	phase(straight, 10, 40)
+	phase(straight, 100, 25)
 
 	eng := NewEngine()
-	r := newRecorder(eng)
-	for i := 0; i < 15 && eng.step(); i++ {
-	}
-	if eng.Pending() == 0 {
-		t.Fatal("workload exhausted before the cut; deepen it")
-	}
-
+	phase(eng, 10, 40)
 	var enc ckpt.Enc
 	if err := eng.SaveState(&enc); err != nil {
 		t.Fatalf("SaveState: %v", err)
 	}
-	// Mutable recorder state is part of the model; carry it across like a
-	// component's SaveState would.
-	budget := map[uint64]int{}
-	for k, v := range r.budget {
-		budget[k] = v
-	}
-	prefix := append([]uint64(nil), r.log...)
-
-	eng2 := NewEngine()
-	r2 := &recorder{eng: eng2, budget: budget, period: r.period, log: prefix}
-	for id := range r.period {
-		id := id
-		eng2.RegisterRecurring(id, func() {
-			r2.log = append(r2.log, id<<32|uint64(eng2.Now()))
-			if r2.budget[id] > 0 {
-				r2.budget[id]--
-				eng2.AfterRecurring(r2.period[id], id)
-			}
-		})
-	}
-	if err := eng2.LoadState(ckpt.NewDec(enc.Bytes())); err != nil {
+	restored := NewEngine()
+	if err := restored.LoadState(ckpt.NewDec(enc.Bytes())); err != nil {
 		t.Fatalf("LoadState: %v", err)
 	}
-	if eng2.Now() != eng.Now() || eng2.Pending() != eng.Pending() {
-		t.Fatalf("restored engine at (%d, %d pending), want (%d, %d)",
-			eng2.Now(), eng2.Pending(), eng.Now(), eng.Pending())
+	if restored.Now() != eng.Now() || restored.Fired() != eng.Fired() ||
+		restored.PeakPending() != eng.PeakPending() || restored.seq != eng.seq {
+		t.Fatalf("restored (now %d, fired %d, peak %d, seq %d), saved (now %d, fired %d, peak %d, seq %d)",
+			restored.Now(), restored.Fired(), restored.PeakPending(), restored.seq,
+			eng.Now(), eng.Fired(), eng.PeakPending(), eng.seq)
 	}
-	eng2.Run()
+	phase(restored, 100, 25)
+	if restored.Now() != straight.Now() || restored.Fired() != straight.Fired() ||
+		restored.PeakPending() != straight.PeakPending() || restored.seq != straight.seq {
+		t.Fatalf("continuation ended at (now %d, fired %d, peak %d, seq %d), straight run at (now %d, fired %d, peak %d, seq %d)",
+			restored.Now(), restored.Fired(), restored.PeakPending(), restored.seq,
+			straight.Now(), straight.Fired(), straight.PeakPending(), straight.seq)
+	}
+}
 
-	if len(r2.log) != len(sr.log) {
-		t.Fatalf("restored run fired %d callbacks, straight run %d", len(r2.log), len(sr.log))
+// TestEngineCheckpointRejectsClosures: a pending event holds a callback with
+// no serializable identity, so SaveState on a non-idle engine must fail —
+// whichever Schedule variant or shard handle queued the event — and so must
+// restoring into one, whose events would collide with the restored seq.
+func TestEngineCheckpointRejectsClosures(t *testing.T) {
+	var idle ckpt.Enc
+	if err := NewEngine().SaveState(&idle); err != nil {
+		t.Fatalf("SaveState on an idle engine: %v", err)
 	}
-	for i := range sr.log {
-		if r2.log[i] != sr.log[i] {
-			t.Fatalf("firing %d differs: restored (id=%d, cyc=%d), straight (id=%d, cyc=%d)",
-				i, r2.log[i]>>32, r2.log[i]&0xffffffff, sr.log[i]>>32, sr.log[i]&0xffffffff)
+	for name, queue := range map[string]func(e *Engine){
+		"Schedule":   func(e *Engine) { e.After(10, func() {}) },
+		"ScheduleFn": func(e *Engine) { e.AfterFn(0, func(any) {}, nil) },
+		"shard":      func(e *Engine) { e.Shard(2).After(5, func() {}) },
+	} {
+		eng := NewEngine()
+		queue(eng)
+		var enc ckpt.Enc
+		if err := eng.SaveState(&enc); err == nil {
+			t.Fatalf("%s: SaveState accepted an engine with a pending event", name)
+		}
+		if err := eng.LoadState(ckpt.NewDec(idle.Bytes())); err == nil {
+			t.Fatalf("%s: LoadState restored into an engine with a pending event", name)
 		}
 	}
-	if eng2.Now() != straight.Now() || eng2.Fired() != straight.Fired() {
-		t.Fatalf("restored run ended at (now=%d, fired=%d), straight at (now=%d, fired=%d)",
-			eng2.Now(), eng2.Fired(), straight.Now(), straight.Fired())
-	}
 }
 
-// TestEngineCheckpointRejectsClosures: a pending plain closure has no
-// serializable identity and must fail the save.
-func TestEngineCheckpointRejectsClosures(t *testing.T) {
-	eng := NewEngine()
-	eng.After(10, func() {})
+// TestEngineLoadPendingEventsCorrupt: SaveState always writes a zero event
+// count, so a snapshot claiming pending events is corrupt, not a panic.
+func TestEngineLoadPendingEventsCorrupt(t *testing.T) {
 	var enc ckpt.Enc
-	if err := eng.SaveState(&enc); err == nil {
-		t.Fatal("SaveState accepted a pending closure event")
+	for i := 0; i < 4; i++ {
+		enc.U64(uint64(10 + i)) // now, seq, fired, peak
 	}
-}
-
-// TestEngineLoadUnregisteredID: restoring without re-registering the
-// callbacks is a corrupt/mismatched snapshot, not a panic.
-func TestEngineLoadUnregisteredID(t *testing.T) {
-	eng := NewEngine()
-	eng.RegisterRecurring(9, func() {})
-	eng.ScheduleRecurring(5, 9)
-	var enc ckpt.Enc
-	if err := eng.SaveState(&enc); err != nil {
-		t.Fatalf("SaveState: %v", err)
-	}
-	fresh := NewEngine()
-	err := fresh.LoadState(ckpt.NewDec(enc.Bytes()))
+	enc.U32(1)
+	err := NewEngine().LoadState(ckpt.NewDec(enc.Bytes()))
 	if !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Fatalf("LoadState = %v, want ErrCorrupt", err)
 	}

@@ -19,35 +19,22 @@ const Never = Cycle(1<<63 - 1)
 // event is a scheduled callback. seq breaks ties so same-cycle events fire in
 // the order they were scheduled, making runs reproducible. Exactly one of
 // fn/afn is set; afn is invoked with arg, letting recurring callers schedule
-// without allocating a fresh closure per event (see ScheduleFn). rid is the
-// recurring-callback registration the event was scheduled through (0 for
-// plain closures); only rid-carrying events can cross a checkpoint, because
-// they are re-created from the registry instead of serializing code.
+// without allocating a fresh closure per event (see ScheduleFn).
 //
-// tag additionally carries the shard of the event in its top 16 bits (see
-// Shard): shard 0 is the home shard, whose events may touch anything and
-// therefore always run exclusively; a nonzero shard promises the callback
-// only touches that shard's state, which is what lets a round of same-cycle
-// events from distinct shards execute concurrently. Packing shard with rid
-// keeps the event at 56 bytes — heap traffic is the engine's hottest path,
-// and every extra word is copied on each push, pop, and sift.
+// shard is the event's shard (see Shard): shard 0 is the home shard, whose
+// events may touch anything and therefore always run exclusively; a nonzero
+// shard promises the callback only touches that shard's state, which is what
+// lets a round of same-cycle events from distinct shards execute
+// concurrently. The record is 56 bytes — heap traffic is the engine's
+// hottest path, and every extra word is copied on each push, pop, and sift.
 type event struct {
-	at  Cycle
-	seq uint64
-	tag uint64 // rid in the low 48 bits, shard in the high 16
-	fn  func()
-	afn func(any)
-	arg any
+	at    Cycle
+	seq   uint64
+	shard int32
+	fn    func()
+	afn   func(any)
+	arg   any
 }
-
-// ridMask extracts the recurring-callback ID from an event tag; RegisterRecurring
-// rejects IDs that would not fit.
-const ridMask = uint64(1)<<48 - 1
-
-func mkTag(rid uint64, shard int32) uint64 { return rid | uint64(shard)<<48 }
-
-func (ev *event) ridOf() uint64  { return ev.tag & ridMask }
-func (ev *event) shardOf() int32 { return int32(ev.tag >> 48) }
 
 // before orders events by (at, seq): earliest cycle first, scheduling order
 // within a cycle.
@@ -65,7 +52,12 @@ func (a *event) before(b *event) bool {
 // amortized slice growth) and a FIFO fast path for events scheduled at the
 // current cycle, which skip the heap entirely. The (at, seq) total order is
 // preserved across both: every event carries a globally increasing sequence
-// number, and the dispatcher always fires the least (at, seq) event next.
+// number, and the dispatcher always takes the least (at, seq) event next.
+//
+// There is one dispatch path. A home (shard 0) event fires alone; a shard
+// event fires as part of a round with the same-cycle shard events behind it
+// (see parallel.go). An engine that never hands out shard handles simply
+// holds only home events.
 //
 // The zero value is ready to use. Engine is not safe for concurrent use from
 // outside; the simulation model here is single-threaded by design
@@ -80,11 +72,13 @@ type Engine struct {
 	fired uint64
 	peak  int // high-water mark of Pending(), updated on every schedule
 
-	// sharded is true on shard handles and on root engines with shards —
-	// the single hot-path test that diverts the Schedule family off the
-	// plain fast path. Kept adjacent to the clock fields so the fast path
-	// touches one cache line for its checks.
-	sharded bool
+	// inRound is true while the events of a shard round execute; scheduling
+	// through the root handle is a funneling bug then and panics. collecting
+	// is additionally true while workers may run concurrently, diverting
+	// shard-handle schedules into per-shard side buffers. Both sit next to
+	// the clock so the insertion path tests them on the same cache line.
+	inRound    bool
+	collecting bool
 
 	// groupRemain counts round events already popped from the queues but
 	// not yet executed, so Pending() and the peak accounting during an
@@ -102,18 +96,11 @@ type Engine struct {
 	nowq    []event
 	nowHead int
 
-	// recurring maps registered callback IDs to their bound callbacks; see
-	// RegisterRecurring.
-	recurring map[uint64]func()
-
 	// root is non-nil on shard handles returned by Shard: a handle shares
 	// all queue state with its root engine and only contributes its shard
 	// tag to events scheduled through it. shard is the handle's tag (0 on
-	// a root engine). par is non-nil on a root engine once Shard has been
-	// called; it holds the round-execution state (parallel.go). Once par
-	// is set the engine steps in rounds rather than single events — the
-	// round structure is intrinsic and identical at every parallelism
-	// level, so results never depend on SetParallel.
+	// a root engine). par holds the round-execution state (parallel.go);
+	// Shard creates it, so every engine holding shard events has one.
 	root  *Engine
 	shard int32
 	par   *parEngine
@@ -146,44 +133,21 @@ func (e *Engine) Pending() int {
 // peak queue depth reported in observability digests.
 func (e *Engine) PeakPending() int { return e.rootEngine().peak }
 
-// notePeak updates the pending high-water mark; called on every schedule.
-func (e *Engine) notePeak() {
-	if p := len(e.heap) + len(e.nowq) - e.nowHead + e.groupRemain; p > e.peak {
-		e.peak = p
-	}
-}
-
 // NextAt peeks at the timestamp of the earliest pending event. ok is false
 // when no events are scheduled. Used by drivers that must stop the
 // simulation at an exact cycle (power-fail cuts) without firing anything
 // beyond it.
 func (e *Engine) NextAt() (Cycle, bool) {
-	r := e.rootEngine()
-	if r.nowHead < len(r.nowq) {
-		// FIFO entries are at the current cycle; nothing can be earlier.
-		return r.nowq[r.nowHead].at, true
+	if h, _ := e.rootEngine().head(); h != nil {
+		return h.at, true
 	}
-	if len(r.heap) == 0 {
-		return 0, false
-	}
-	return r.heap[0].at, true
+	return 0, false
 }
 
 // Schedule runs fn at absolute cycle at. Scheduling in the past (at < Now) is
 // treated as "now": the event fires before time advances further.
 func (e *Engine) Schedule(at Cycle, fn func()) {
-	if e.sharded {
-		e.rootEngine().schedule(e.shard, e.shard, at, 0, fn, nil, nil)
-		return
-	}
-	e.seq++
-	if at <= e.now {
-		e.nowq = append(e.nowq, event{at: e.now, seq: e.seq, fn: fn})
-		e.notePeak()
-		return
-	}
-	e.heapPush(event{at: at, seq: e.seq, fn: fn})
-	e.notePeak()
+	e.rootEngine().insert(e.shard, &event{at: at, shard: e.shard, fn: fn})
 }
 
 // After runs fn delay cycles from now.
@@ -195,18 +159,7 @@ func (e *Engine) After(delay Cycle, fn func()) { e.Schedule(e.Now()+delay, fn) }
 // retry loops) schedule themselves without allocating a fresh closure per
 // event.
 func (e *Engine) ScheduleFn(at Cycle, fn func(any), arg any) {
-	if e.sharded {
-		e.rootEngine().schedule(e.shard, e.shard, at, 0, nil, fn, arg)
-		return
-	}
-	e.seq++
-	if at <= e.now {
-		e.nowq = append(e.nowq, event{at: e.now, seq: e.seq, afn: fn, arg: arg})
-		e.notePeak()
-		return
-	}
-	e.heapPush(event{at: at, seq: e.seq, afn: fn, arg: arg})
-	e.notePeak()
+	e.rootEngine().insert(e.shard, &event{at: at, shard: e.shard, afn: fn, arg: arg})
 }
 
 // AfterFn runs fn(arg) delay cycles from now (the allocation-free variant of
@@ -222,129 +175,101 @@ func (e *Engine) AfterFn(delay Cycle, fn func(any), arg any) {
 // counter shared across channels, or touch the iMC schedules the touching
 // part home instead of doing it in place.
 func (e *Engine) ScheduleHome(at Cycle, fn func()) {
-	e.rootEngine().schedule(e.shard, 0, at, 0, fn, nil, nil)
+	e.rootEngine().insert(e.shard, &event{at: at, fn: fn})
 }
 
 // AfterHome runs fn delay cycles from now on the home shard (see
 // ScheduleHome).
-func (e *Engine) AfterHome(delay Cycle, fn func()) {
-	r := e.rootEngine()
-	r.schedule(e.shard, 0, r.now+delay, 0, fn, nil, nil)
-}
+func (e *Engine) AfterHome(delay Cycle, fn func()) { e.ScheduleHome(e.Now()+delay, fn) }
 
 // DeferHome runs fn on the home shard at the current cycle: after the
 // in-flight round completes, before time advances. It is the funnel for
 // cross-shard effects that must stay at the same timestamp (fence
 // completions, read returns).
-func (e *Engine) DeferHome(fn func()) {
-	r := e.rootEngine()
-	r.schedule(e.shard, 0, r.now, 0, fn, nil, nil)
-}
+func (e *Engine) DeferHome(fn func()) { e.ScheduleHome(e.Now(), fn) }
 
-// schedule is the single insertion point behind every Schedule variant on a
-// sharded engine. caller is the shard whose event context issued the call (0
-// for the root handle), target the shard tag for the new event. During an
-// executing round, calls from shard events are buffered per shard and merged
-// deterministically at the barrier (parallel rounds) or inserted directly
-// (inline rounds) — either way the resulting (cycle, seq) assignment is the
-// one pure serial execution would produce.
-func (e *Engine) schedule(caller, target int32, at Cycle, rid uint64, fn func(), afn func(any), arg any) {
-	if p := e.par; p != nil && p.inRound {
+// insert is the single insertion point behind every Schedule variant. caller
+// is the shard whose handle issued the call (0 for the root handle); ev, a
+// caller-stack record insert stamps and copies (passing it by pointer
+// measured cheaper than by value), carries the target shard. During an executing round, calls from shard
+// events are buffered per shard and merged deterministically at the barrier
+// (parallel rounds) or inserted directly (inline rounds) — either way the
+// resulting (cycle, seq) assignment is the one pure serial execution would
+// produce.
+func (e *Engine) insert(caller int32, ev *event) {
+	if e.inRound {
 		if caller == 0 {
 			panic("sim: scheduling through the root engine from inside a shard round (funnel via DeferHome/AfterHome)")
 		}
-		if p.collecting {
-			p.buffer(caller, target, at, rid, fn, afn, arg)
+		if e.collecting {
+			e.par.buffer(caller, *ev)
 			return
 		}
 	}
 	e.seq++
-	tag := mkTag(rid, target)
-	if at <= e.now {
-		e.nowq = append(e.nowq, event{at: e.now, seq: e.seq, tag: tag, fn: fn, afn: afn, arg: arg})
+	ev.seq = e.seq
+	if ev.at <= e.now {
+		ev.at = e.now
+		e.nowq = append(e.nowq, *ev)
 	} else {
-		e.heapPush(event{at: at, seq: e.seq, tag: tag, fn: fn, afn: afn, arg: arg})
+		e.heapPush(*ev)
 	}
-	e.notePeak()
+	if p := len(e.heap) + len(e.nowq) - e.nowHead + e.groupRemain; p > e.peak {
+		e.peak = p
+	}
 }
 
-// RegisterRecurring binds a callback to a stable numeric ID. Events scheduled
-// through ScheduleRecurring carry the ID instead of a closure, which is what
-// lets a checkpoint serialize them: SaveState records (at, seq, id) and
-// LoadState re-creates the event from the registry, provided the restoring
-// engine registered the same ID first. Re-registering an ID rebinds it.
-func (e *Engine) RegisterRecurring(id uint64, fn func()) {
-	r := e.rootEngine()
-	if id == 0 {
-		panic("sim: recurring callback id 0 is reserved")
-	}
-	if fn == nil {
-		panic("sim: nil recurring callback")
-	}
-	if id&^ridMask != 0 {
-		panic("sim: recurring callback id exceeds 48 bits")
-	}
-	if r.recurring == nil {
-		r.recurring = make(map[uint64]func())
-	}
-	r.recurring[id] = fn
-}
-
-// ScheduleRecurring schedules the callback registered under id at absolute
-// cycle at (past-clamped like Schedule). It panics on an unregistered ID —
-// that is a wiring bug, not a runtime condition. Through a shard handle the
-// event carries the handle's shard tag, and SaveState preserves the tag, so
-// a restored run keeps the exact round structure of an uninterrupted one.
-func (e *Engine) ScheduleRecurring(at Cycle, id uint64) {
-	r := e.rootEngine()
-	fn, ok := r.recurring[id]
-	if !ok {
-		panic("sim: ScheduleRecurring on unregistered id")
-	}
-	if e.sharded {
-		r.schedule(e.shard, e.shard, at, id, fn, nil, nil)
-		return
-	}
-	e.seq++
-	if at <= e.now {
-		e.nowq = append(e.nowq, event{at: e.now, seq: e.seq, tag: id, fn: fn})
-		e.notePeak()
-		return
-	}
-	e.heapPush(event{at: at, seq: e.seq, tag: id, fn: fn})
-	e.notePeak()
-}
-
-// AfterRecurring schedules the callback registered under id delay cycles
-// from now.
-func (e *Engine) AfterRecurring(delay Cycle, id uint64) {
-	e.ScheduleRecurring(e.Now()+delay, id)
-}
-
-// step executes the earliest pending event, advancing time to it.
-// It reports false when no events remain.
-func (e *Engine) step() bool {
-	var ev event
+// head returns the earliest pending event (nil when none) and whether it
+// sits in the heap rather than the same-cycle FIFO (pop it with heapPop or
+// popFIFO accordingly).
+func (e *Engine) head() (*event, bool) {
 	if e.nowHead < len(e.nowq) {
+		f := &e.nowq[e.nowHead]
 		// The FIFO head is at the current cycle; the heap top can only tie
 		// it on cycle, in which case seq decides.
-		if len(e.heap) > 0 && e.heap[0].before(&e.nowq[e.nowHead]) {
-			ev = e.heapPop()
-		} else {
-			ev = e.nowq[e.nowHead]
-			e.nowq[e.nowHead] = event{} // release callback references
-			e.nowHead++
-			if e.nowHead == len(e.nowq) {
-				e.nowq = e.nowq[:0]
-				e.nowHead = 0
-			}
+		if len(e.heap) > 0 && e.heap[0].before(f) {
+			return &e.heap[0], true
 		}
-	} else if len(e.heap) > 0 {
-		ev = e.heapPop()
-	} else {
+		return f, false
+	}
+	if len(e.heap) > 0 {
+		return &e.heap[0], true
+	}
+	return nil, false
+}
+
+// popFIFO removes and returns the same-cycle FIFO head.
+func (e *Engine) popFIFO() event {
+	ev := e.nowq[e.nowHead]
+	e.nowq[e.nowHead] = event{} // release callback references
+	e.nowHead++
+	if e.nowHead == len(e.nowq) {
+		e.nowq = e.nowq[:0]
+		e.nowHead = 0
+	}
+	return ev
+}
+
+// dispatch is the engine's one dispatch primitive. It pops the earliest
+// pending event if its timestamp is <= deadline and advances time to it: a
+// home event then fires alone, a shard event as the lead of a round (see
+// runRound). It reports false, changing nothing, when no event is due.
+func (e *Engine) dispatch(deadline Cycle) bool {
+	h, inHeap := e.head()
+	if h == nil || h.at > deadline {
 		return false
 	}
+	var ev event
+	if inHeap {
+		ev = e.heapPop()
+	} else {
+		ev = e.popFIFO()
+	}
 	e.now = ev.at
+	if ev.shard != 0 {
+		e.runRound(&ev)
+		return true
+	}
 	e.fired++
 	if ev.fn != nil {
 		ev.fn()
@@ -354,106 +279,33 @@ func (e *Engine) step() bool {
 	return true
 }
 
-// popUpTo pops the earliest pending event if its timestamp is <= deadline.
-// It fuses the NextAt peek with the pop, so the run loops pay one ordering
-// decision per event instead of two (the RunUntil fast path).
-func (e *Engine) popUpTo(deadline Cycle) (event, bool) {
-	if e.nowHead < len(e.nowq) {
-		f := &e.nowq[e.nowHead]
-		// The FIFO head is at the current cycle; the heap top can only tie
-		// it on cycle, in which case seq decides.
-		if len(e.heap) > 0 && e.heap[0].before(f) {
-			if e.heap[0].at > deadline {
-				return event{}, false
-			}
-			return e.heapPop(), true
-		}
-		if f.at > deadline {
-			return event{}, false
-		}
-		ev := *f
-		*f = event{} // release callback references
-		e.nowHead++
-		if e.nowHead == len(e.nowq) {
-			e.nowq = e.nowq[:0]
-			e.nowHead = 0
-		}
-		return ev, true
-	}
-	if len(e.heap) > 0 && e.heap[0].at <= deadline {
-		return e.heapPop(), true
-	}
-	return event{}, false
-}
-
-// Run executes events until the queue is empty. On a sharded engine it steps
-// in rounds (see stepRound); on a plain engine, single events.
+// Run executes events until the queue is empty.
 func (e *Engine) Run() {
-	if e.root != nil {
-		e.root.Run()
-		return
-	}
-	if e.par != nil {
-		for e.stepRound() {
-		}
-		return
-	}
-	for e.step() {
+	r := e.rootEngine()
+	for r.dispatch(^Cycle(0)) {
 	}
 }
 
 // RunUntil executes events with timestamp <= deadline, then sets Now to
 // deadline if the simulation has not already passed it. Rounds never span
-// cycles, so on a sharded engine the cut still lands exactly at deadline.
+// cycles, so the cut lands exactly at deadline.
 func (e *Engine) RunUntil(deadline Cycle) {
-	if e.root != nil {
-		e.root.RunUntil(deadline)
-		return
+	r := e.rootEngine()
+	for r.dispatch(deadline) {
 	}
-	if e.par != nil {
-		for {
-			at, ok := e.NextAt()
-			if !ok || at > deadline {
-				break
-			}
-			e.stepRound()
-		}
-	} else {
-		for {
-			ev, ok := e.popUpTo(deadline)
-			if !ok {
-				break
-			}
-			e.now = ev.at
-			e.fired++
-			if ev.fn != nil {
-				ev.fn()
-			} else {
-				ev.afn(ev.arg)
-			}
-		}
-	}
-	if e.now < deadline {
-		e.now = deadline
+	if r.now < deadline {
+		r.now = deadline
 	}
 }
 
 // RunWhile executes events until cond reports false or no events remain.
-// cond is checked before each step: a single event on a plain engine, a
-// round on a sharded one. Round granularity is intrinsic to sharded engines
-// — it does not vary with SetParallel — so pump loops built on RunWhile
-// observe identical progress at every parallelism level.
+// cond is checked before each dispatch: a single home event or a whole
+// round. Round granularity is intrinsic — it does not vary with
+// SetParallel — so pump loops built on RunWhile observe identical progress
+// at every parallelism level.
 func (e *Engine) RunWhile(cond func() bool) {
-	if e.root != nil {
-		e.root.RunWhile(cond)
-		return
-	}
-	if e.par != nil {
-		for cond() && e.stepRound() {
-		}
-		return
-	}
-	for cond() && e.step() {
+	r := e.rootEngine()
+	for cond() && r.dispatch(^Cycle(0)) {
 	}
 }
 

@@ -21,6 +21,24 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkEngineShardScheduleRun is BenchmarkEngineScheduleRun through a
+// shard handle: the path every vans event takes, since each DIMM schedules
+// through its own shard and same-cycle shard events dispatch as rounds.
+func BenchmarkEngineShardScheduleRun(b *testing.B) {
+	e := NewEngine()
+	s := e.Shard(1)
+	fn := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Schedule(s.Now()+Cycle(i%17), fn)
+		if i%64 == 63 {
+			e.Run()
+		}
+	}
+	e.Run()
+}
+
 // BenchmarkEngineDeepHeap exercises pure heap traffic (no same-cycle fast
 // path): a standing population of future events with one pop per push.
 func BenchmarkEngineDeepHeap(b *testing.B) {
@@ -33,14 +51,13 @@ func BenchmarkEngineDeepHeap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Schedule(e.Now()+Cycle(1+i%511), fn)
-		e.step()
+		e.dispatch(^Cycle(0))
 	}
 }
 
-// BenchmarkEngineRunUntil tracks the deadline-bounded drain path: RunUntil
-// used to re-derive the next event time through the exported NextAt peek on
-// every iteration; the fused popUpTo makes one ordering decision per event,
-// keeping this within noise of BenchmarkEngineScheduleRun.
+// BenchmarkEngineRunUntil tracks the deadline-bounded drain: the dispatch
+// primitive checks the deadline in the same ordering decision that picks the
+// next event, keeping this within noise of BenchmarkEngineScheduleRun.
 func BenchmarkEngineRunUntil(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}
@@ -78,23 +95,27 @@ func TestRunUntilAllocFree(t *testing.T) {
 
 // TestScheduleAllocFree is the allocation regression guard for the engine
 // hot path: once slice capacity is warm, Schedule/After/Run must not
-// allocate at all (the boxed heap allocated on every push and pop).
+// allocate at all (the boxed heap allocated on every push and pop) — on a
+// home-only engine and through a shard handle, whose events dispatch as
+// rounds.
 func TestScheduleAllocFree(t *testing.T) {
-	e := NewEngine()
-	fn := func() {}
-	// Warm the heap and FIFO capacity.
-	for i := 0; i < 2048; i++ {
-		e.Schedule(e.Now()+Cycle(i%31), fn)
-	}
-	e.Run()
-	avg := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 256; i++ {
-			e.After(Cycle(i%13), fn) // mixes FIFO (0) and heap (>0) paths
+	for name, h := range map[string]*Engine{"home": NewEngine(), "shard": NewEngine().Shard(1)} {
+		e := h.rootEngine()
+		fn := func() {}
+		// Warm the heap and FIFO capacity.
+		for i := 0; i < 2048; i++ {
+			h.Schedule(h.Now()+Cycle(i%31), fn)
 		}
 		e.Run()
-	})
-	if avg != 0 {
-		t.Fatalf("Schedule/After/Run allocated %.2f times per run, want 0", avg)
+		avg := testing.AllocsPerRun(200, func() {
+			for i := 0; i < 256; i++ {
+				h.After(Cycle(i%13), fn) // mixes FIFO (0) and heap (>0) paths
+			}
+			e.Run()
+		})
+		if avg != 0 {
+			t.Fatalf("%s: Schedule/After/Run allocated %.2f times per run, want 0", name, avg)
+		}
 	}
 }
 

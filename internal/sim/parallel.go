@@ -27,24 +27,15 @@ import (
 // counters of serial execution. That is the whole determinism argument:
 // parallelism is an execution strategy, never an ordering.
 
-// schedReq is one Schedule-family call buffered during a parallel round.
-type schedReq struct {
-	parent uint64 // seq of the round event that issued the call
-	target int32
-	at     Cycle
-	rid    uint64
-	fn     func()
-	afn    func(any)
-	arg    any
-}
-
 // shardBuf holds one shard's round-local state: the bucket of round events
 // assigned to it, the seq of the event its worker is currently executing,
-// and the schedules those events issued. Only that worker writes it while a
-// round is in flight; the barrier merge drains it afterwards.
+// and the schedules those events issued (each held as the event to insert,
+// with seq temporarily naming the issuing round event). Only that worker
+// writes it while a round is in flight; the barrier merge drains it
+// afterwards.
 type shardBuf struct {
 	cur  uint64
-	reqs []schedReq
+	reqs []event
 	next int
 	idxs []int32 // indexes into parEngine.round
 }
@@ -58,21 +49,14 @@ type parEngine struct {
 	bufs    []shardBuf
 	round   []event
 	order   []int32 // distinct shards of the current round, first-seen order
-
-	// inRound is true while round events execute; root-handle scheduling is
-	// a funneling bug then and panics in both execution modes. collecting
-	// is additionally true while workers may run concurrently, diverting
-	// shard-handle schedules into the side buffers.
-	inRound    bool
-	collecting bool
 }
 
 // Shard returns the scheduling handle for shard i. Handles share all state
 // with the root engine; the only difference is that events scheduled through
 // handle i carry shard tag i, promising their callbacks touch only shard i's
 // state. Shard(0) — and any i <= 0 — returns the engine itself: the home
-// shard, whose events run exclusively. Calling Shard at all switches the
-// engine to round-granular stepping (see RunWhile); it does not by itself
+// shard, whose events run exclusively. Events scheduled through a shard
+// handle dispatch in rounds (see RunWhile); a handle does not by itself
 // enable concurrency — that takes SetParallel.
 func (e *Engine) Shard(i int) *Engine {
 	r := e.rootEngine()
@@ -84,7 +68,7 @@ func (e *Engine) Shard(i int) *Engine {
 		p.handles = append(p.handles, nil)
 	}
 	if p.handles[i] == nil {
-		p.handles[i] = &Engine{root: r, shard: int32(i), sharded: true}
+		p.handles[i] = &Engine{root: r, shard: int32(i)}
 	}
 	return p.handles[i]
 }
@@ -113,127 +97,111 @@ func (e *Engine) SetParallelGate(f func() bool) {
 func (e *Engine) ensurePar() *parEngine {
 	if e.par == nil {
 		e.par = &parEngine{workers: 1}
-		e.sharded = true
 	}
 	return e.par
 }
 
-// peekEvent returns the earliest pending event without popping it.
-func (e *Engine) peekEvent() *event {
-	if e.nowHead < len(e.nowq) {
-		f := &e.nowq[e.nowHead]
-		if len(e.heap) > 0 && e.heap[0].before(f) {
-			return &e.heap[0]
-		}
-		return f
-	}
-	if len(e.heap) > 0 {
-		return &e.heap[0]
-	}
-	return nil
-}
-
-// stepRound executes the next round and reports whether anything ran. A home
-// event is its own round; otherwise the round is the maximal same-cycle run
-// of nonzero-shard events at the queue front, with membership fixed before
+// runRound executes the round led by the shard event lead, already popped
+// with the clock advanced to it. The round is lead plus the maximal run of
+// same-cycle nonzero-shard events behind it, with membership fixed before
 // anything executes (events scheduled during the round — necessarily with
-// equal or later timestamps — land in later rounds).
-func (e *Engine) stepRound() bool {
-	lead := e.peekEvent()
-	if lead == nil {
-		return false
-	}
-	if lead.shardOf() == 0 {
-		return e.step()
-	}
+// equal or later timestamps — land in later rounds). It then runs inline
+// unless the round spans several shards, parallelism is configured, the gate
+// is open, and the pool grants a lease.
+func (e *Engine) runRound(lead *event) {
 	p := e.par
-	at := lead.at
-	p.round = p.round[:0]
+	p.round = append(p.round[:0], *lead)
 	for {
-		ev := e.peekEvent()
-		if ev == nil || ev.at != at || ev.shardOf() == 0 {
+		h, inHeap := e.head()
+		if h == nil || h.at != lead.at || h.shard == 0 {
 			break
 		}
-		pe, _ := e.popUpTo(at)
-		p.round = append(p.round, pe)
+		if inHeap {
+			p.round = append(p.round, e.heapPop())
+		} else {
+			p.round = append(p.round, e.popFIFO())
+		}
 	}
-	e.now = at
-	e.runRound()
-	return true
+	extra := 0
+	if p.workers > 1 && p.multiShard() && (p.gate == nil || !p.gate()) {
+		extra = pool.TryLease(min(p.workers, len(p.round)) - 1)
+	}
+	if extra == 0 {
+		e.runInline()
+	} else {
+		e.runParallel(extra)
+	}
 }
 
-// runRound executes the popped round, inline or fanned out.
-func (e *Engine) runRound() {
+// multiShard reports whether the round holds events of more than one shard —
+// the precondition for any fan-out.
+func (p *parEngine) multiShard() bool {
+	s := p.round[0].shard
+	for i := 1; i < len(p.round); i++ {
+		if p.round[i].shard != s {
+			return true
+		}
+	}
+	return false
+}
+
+// runInline executes the round in (at, seq) order on this goroutine with
+// direct scheduling. groupRemain keeps Pending()/peak accounting identical
+// to pure per-event stepping.
+func (e *Engine) runInline() {
+	p := e.par
+	e.inRound = true
+	e.groupRemain = len(p.round)
+	for i := range p.round {
+		e.groupRemain--
+		e.fired++
+		ev := &p.round[i]
+		if ev.fn != nil {
+			ev.fn()
+		} else {
+			ev.afn(ev.arg)
+		}
+		*ev = event{}
+	}
+	e.inRound = false
+}
+
+// runParallel fans the round out over extra leased workers plus this
+// goroutine, then merges the buffered schedules at the barrier.
+func (e *Engine) runParallel(extra int) {
 	p := e.par
 	n := len(p.round)
 
-	// Partition into per-shard buckets in first-appearance order.
+	// Partition into per-shard buckets in first-appearance order, and hand
+	// back any lease beyond one worker per bucket.
 	p.order = p.order[:0]
-	maxShard := int32(0)
 	for i := range p.round {
-		if s := p.round[i].shardOf(); s > maxShard {
-			maxShard = s
+		s := p.round[i].shard
+		for int32(len(p.bufs)) <= s {
+			p.bufs = append(p.bufs, shardBuf{})
 		}
-	}
-	for int32(len(p.bufs)) <= maxShard {
-		p.bufs = append(p.bufs, shardBuf{})
-	}
-	for i := range p.round {
-		s := p.round[i].shardOf()
 		b := &p.bufs[s]
 		if len(b.idxs) == 0 {
 			p.order = append(p.order, s)
 		}
 		b.idxs = append(b.idxs, int32(i))
 	}
-
-	want := p.workers
-	if want > len(p.order) {
-		want = len(p.order)
-	}
-	if want > 1 && p.gate != nil && p.gate() {
-		want = 1
-	}
-	extra := 0
-	if want > 1 {
-		extra = pool.TryLease(want - 1)
+	if surplus := extra + 1 - len(p.order); surplus > 0 {
+		pool.Release(surplus)
+		extra -= surplus
 	}
 
-	if extra == 0 {
-		// Inline: run the round in (at, seq) order on this goroutine with
-		// direct scheduling. groupRemain keeps Pending()/peak accounting
-		// identical to pure per-event stepping.
-		for _, s := range p.order {
-			p.bufs[s].idxs = p.bufs[s].idxs[:0]
-		}
-		p.inRound = true
-		e.groupRemain = n
-		for i := range p.round {
-			e.groupRemain--
-			e.fired++
-			ev := &p.round[i]
-			if ev.fn != nil {
-				ev.fn()
-			} else {
-				ev.afn(ev.arg)
-			}
-			*ev = event{}
-		}
-		p.inRound = false
-		return
-	}
-
-	// Parallel: whole buckets are assigned round-robin to extra+1 workers
-	// (this goroutine participates). Each worker executes its buckets'
-	// events in seq order; schedules divert into the shard's side buffer.
+	// Whole buckets are assigned round-robin to extra+1 workers (this
+	// goroutine participates). Each worker executes its buckets' events in
+	// seq order; schedules divert into the shard's side buffer.
 	workers := extra + 1
 	var (
 		wg    sync.WaitGroup
 		panMu sync.Mutex
 		pan   any
 	)
-	p.inRound = true
-	p.collecting = true
+	e.inRound = true
+	e.collecting = true
 	runBuckets := func(w int) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -266,8 +234,8 @@ func (e *Engine) runRound() {
 	}
 	runBuckets(0)
 	wg.Wait()
-	p.collecting = false
-	p.inRound = false
+	e.collecting = false
+	e.inRound = false
 	pool.Release(extra)
 	if pan != nil {
 		// A panicking worker leaves its buffers mid-write; surface the panic
@@ -279,21 +247,21 @@ func (e *Engine) runRound() {
 	// buffered schedules sit next in its shard's buffer (workers execute a
 	// shard's events in seq order, one event's calls buffer in issue order),
 	// so consuming the consecutive run with matching parent seq replays the
-	// exact serial insertion order. pending/peak retrace serial notePeak:
+	// exact serial insertion order. pending/peak retrace serial insertion:
 	// one decrement per pop, one increment + high-water check per schedule.
 	pending := len(e.heap) + len(e.nowq) - e.nowHead + n
 	peak := e.peak
 	for i := range p.round {
 		ev := &p.round[i]
 		pending--
-		b := &p.bufs[ev.shardOf()]
-		for b.next < len(b.reqs) && b.reqs[b.next].parent == ev.seq {
-			rq := &b.reqs[b.next]
+		b := &p.bufs[ev.shard]
+		for b.next < len(b.reqs) && b.reqs[b.next].seq == ev.seq {
+			ne := b.reqs[b.next]
+			b.reqs[b.next] = event{} // release callback references
 			b.next++
 			e.seq++
-			ne := event{at: rq.at, seq: e.seq, tag: mkTag(rq.rid, rq.target),
-				fn: rq.fn, afn: rq.afn, arg: rq.arg}
-			if rq.at <= e.now {
+			ne.seq = e.seq
+			if ne.at <= e.now {
 				ne.at = e.now
 				e.nowq = append(e.nowq, ne)
 			} else {
@@ -303,7 +271,6 @@ func (e *Engine) runRound() {
 			if pending > peak {
 				peak = pending
 			}
-			*rq = schedReq{} // release callback references
 		}
 		*ev = event{}
 	}
@@ -317,14 +284,12 @@ func (e *Engine) runRound() {
 	}
 }
 
-// buffer records a Schedule-family call issued from inside a parallel round.
+// buffer records a Schedule-family call issued from inside a parallel round,
+// stamping ev.seq with the issuing round event's seq for the barrier merge.
 // Only the worker driving shard `caller` appends to that shard's buffer, so
 // no locking is needed.
-func (p *parEngine) buffer(caller, target int32, at Cycle, rid uint64, fn func(), afn func(any), arg any) {
-	if caller == 0 {
-		panic("sim: scheduling through the root engine from inside a shard round (funnel via DeferHome/AfterHome)")
-	}
+func (p *parEngine) buffer(caller int32, ev event) {
 	b := &p.bufs[caller]
-	b.reqs = append(b.reqs, schedReq{parent: b.cur, target: target, at: at,
-		rid: rid, fn: fn, afn: afn, arg: arg})
+	ev.seq = b.cur
+	b.reqs = append(b.reqs, ev)
 }

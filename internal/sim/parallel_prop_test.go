@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/ckpt"
 	"repro/internal/pool"
 )
 
@@ -196,84 +195,4 @@ func TestRootSchedulingInsideRoundPanics(t *testing.T) {
 		e.Schedule(10, func() {})
 	})
 	e.Run()
-}
-
-// TestShardedCheckpointCutRestoresIdentically cuts a recurring-event program
-// mid-flight, round-trips it through SaveState/LoadState, and requires the
-// continuation — on a fresh engine, at a different parallelism — to replay
-// exactly what the uninterrupted run produced. This is the engine-level core
-// of the "snapshots from a parallel run restore byte-identically on either
-// engine" guarantee.
-func TestShardedCheckpointCutRestoresIdentically(t *testing.T) {
-	forceParallelism(t, 4)
-	const shards = 3
-	build := func(logs *[][]firing) (*Engine, []*Engine) {
-		e := NewEngine()
-		h := make([]*Engine, shards+1)
-		h[0] = e
-		for s := 1; s <= shards; s++ {
-			h[s] = e.Shard(s)
-		}
-		for s := 0; s <= shards; s++ {
-			s := s
-			id := uint64(s + 1)
-			h[s].RegisterRecurring(id, func() {
-				(*logs)[s] = append((*logs)[s], firing{h[s].Now(), s})
-				if h[s].Now() < 400 {
-					h[s].AfterRecurring(Cycle(3+2*s), id)
-				}
-			})
-		}
-		return e, h
-	}
-	seedEvents := func(h []*Engine) {
-		for s := 0; s <= shards; s++ {
-			h[s].ScheduleRecurring(Cycle(1+s), uint64(s+1))
-		}
-	}
-
-	// Reference: uninterrupted, parallel.
-	refLogs := make([][]firing, shards+1)
-	eRef, hRef := build(&refLogs)
-	eRef.SetParallel(4)
-	seedEvents(hRef)
-	eRef.Run()
-
-	for _, resumePar := range []int{1, 4} {
-		gotLogs := make([][]firing, shards+1)
-		e1, h1 := build(&gotLogs)
-		e1.SetParallel(4)
-		seedEvents(h1)
-		e1.RunUntil(137)
-
-		var enc ckpt.Enc
-		if err := e1.SaveState(&enc); err != nil {
-			t.Fatalf("SaveState: %v", err)
-		}
-
-		// Restore into a fresh engine (sharing the same logs) and finish.
-		e2, _ := build(&gotLogs)
-		e2.SetParallel(resumePar)
-		if err := e2.LoadState(ckpt.NewDec(enc.Bytes())); err != nil {
-			t.Fatalf("LoadState: %v", err)
-		}
-		e2.Run()
-
-		if e2.Now() != eRef.Now() || e2.Fired() != eRef.Fired() {
-			t.Fatalf("resumePar %d: restored run ended at (now %d, fired %d), reference (now %d, fired %d)",
-				resumePar, e2.Now(), e2.Fired(), eRef.Now(), eRef.Fired())
-		}
-		for s := range refLogs {
-			if len(gotLogs[s]) != len(refLogs[s]) {
-				t.Fatalf("resumePar %d: shard %d fired %d events, reference %d",
-					resumePar, s, len(gotLogs[s]), len(refLogs[s]))
-			}
-			for i := range refLogs[s] {
-				if gotLogs[s][i] != refLogs[s][i] {
-					t.Fatalf("resumePar %d: shard %d firing %d: got %+v, want %+v",
-						resumePar, s, i, gotLogs[s][i], refLogs[s][i])
-				}
-			}
-		}
-	}
 }
