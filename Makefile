@@ -4,16 +4,16 @@ GO ?= go
 # microbenchmarks, and the observability hot-path (hooks-disabled overhead).
 BENCH_PKGS = ./ ./internal/sim/ ./internal/obs/
 
-.PHONY: ci build bench-build vet test race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff trace-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke par-smoke dash-smoke
+.PHONY: ci build bench-build vet test race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff trace-smoke replay-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke par-smoke dash-smoke
 
 # ci is the gate: vet, build (the root module and the nested nvbench
 # benchmark harness), the full suite under the race detector
 # (including the nvmserved integration tests and the randomized ADR
 # crash-consistency property test), a short fuzz smoke per target, a
-# single-iteration bench smoke, a trace-export smoke, a checkpoint/restore
-# smoke, a parallel-engine byte-identity smoke, a 3-node cluster smoke, a
+# single-iteration bench smoke, a trace-export smoke, a generate-then-replay
+# smoke, a checkpoint/restore smoke, a parallel-engine byte-identity smoke, a 3-node cluster smoke, a
 # seeded chaos soak, a fleet-dashboard smoke, and a gofmt check.
-ci: vet build bench-build race fuzz-smoke bench-smoke trace-smoke ckpt-smoke par-smoke cluster-smoke chaos-smoke dash-smoke fmt-check
+ci: vet build bench-build race fuzz-smoke bench-smoke trace-smoke replay-smoke ckpt-smoke par-smoke cluster-smoke chaos-smoke dash-smoke fmt-check
 
 # dash-smoke boots a 2-node in-process loopback fleet, runs one job, fetches
 # GET /v1/dashboard/data from every member, and validates the payload twice:
@@ -44,6 +44,19 @@ par-smoke:
 # goroutine leaks. Same seed = same faults, so failures reproduce.
 chaos-smoke:
 	$(GO) run ./cmd/nvmload -chaos -points 12 -steps 8000 -chaos-seed 1
+
+# replay-smoke captures a workload's memory trace with tracegen and replays
+# it through `vans -replay`, checking every record came back as an access —
+# the end-to-end guard on the text trace format, the only one either tool
+# speaks.
+replay-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/tracegen -workload LinkedList -instructions 20000 -out $$tmp/ll.trace && \
+	$(GO) run ./cmd/vans -replay $$tmp/ll.trace -json > $$tmp/ll.json && \
+	n=$$(grep -c . $$tmp/ll.trace) && \
+	if ! grep -q "\"accesses\": $$n," $$tmp/ll.json; then \
+		echo "replay-smoke: replay of $$n records did not report $$n accesses"; exit 1; fi && \
+	echo "replay-smoke: $$n trace records replayed"
 
 # ckpt-smoke drives checkpoint/restore end to end through the vans CLI:
 # a checkpointing run, a restore that must reproduce the original output

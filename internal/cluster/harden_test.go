@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -308,7 +309,18 @@ func TestProbePeersRecordsHealth(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(nodes[0].ts.URL + "/v1/metrics/prom")
+	resp, err := http.Get(nodes[0].ts.URL + "/v1/cluster/info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire InfoSnapshot
+	err = json.NewDecoder(resp.Body).Decode(&wire)
+	resp.Body.Close()
+	if err != nil || wire.VNodes != 64 || wire.Probes != 2 {
+		t.Fatalf("/v1/cluster/info: vnodes=%d probes=%d err=%v, want 64/2", wire.VNodes, wire.Probes, err)
+	}
+
+	resp, err = http.Get(nodes[0].ts.URL + "/v1/metrics/prom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,4 +424,56 @@ func (zeros) Read(p []byte) (int, error) {
 		p[i] = 0
 	}
 	return len(p), nil
+}
+
+// countingBody is a request body of exactly n bytes: prefix, filler 'a's,
+// suffix. It counts the bytes the handler pulled from it.
+type countingBody struct {
+	prefix, suffix string
+	n, read        int
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	if b.read >= b.n {
+		return 0, io.EOF
+	}
+	k := min(len(p), b.n-b.read)
+	tail := b.n - len(b.suffix)
+	for i := range p[:k] {
+		switch off := b.read + i; {
+		case off < len(b.prefix):
+			p[i] = b.prefix[off]
+		case off >= tail:
+			p[i] = b.suffix[off-tail]
+		default:
+			p[i] = 'a'
+		}
+	}
+	b.read += k
+	return k, nil
+}
+
+// TestClusterBodyCap: every cluster endpoint that decodes a JSON body
+// refuses a well-formed but oversized one with 413 after reading at most
+// maxBodyBytes+1 bytes of it.
+func TestClusterBodyCap(t *testing.T) {
+	nodes := startCluster(t, 1, nil, nil)
+	h := nodes[0].node.Handler()
+	const job = `{"workload":{"kind":"trace","trace":"`
+	for _, c := range []struct{ path, prefix, suffix string }{
+		{"/v1/cluster/jobs", job, `"}}`},
+		{"/v1/cluster/sweep", `{"base":` + job, `"}},"parameter":"seed","values":["1"]}`},
+		{"/v1/peer/run", job, `"}}`},
+	} {
+		body := &countingBody{prefix: c.prefix, suffix: c.suffix, n: maxBodyBytes + 1<<20}
+		req := httptest.NewRequest(http.MethodPost, c.path, body)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413 (%s)", c.path, rec.Code, rec.Body.String())
+		}
+		if body.read > maxBodyBytes+1 {
+			t.Errorf("%s: handler read %d bytes, cap is %d", c.path, body.read, maxBodyBytes)
+		}
+	}
 }

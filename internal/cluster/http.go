@@ -68,6 +68,30 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
+// maxBodyBytes caps a JSON request body: twice the server's 16 MiB text
+// trace limit (JSON escaping at most doubles a trace) plus room for the rest
+// of a job or sweep spec. It matches the local server's own cap.
+const maxBodyBytes = 2*(16<<20) + 1<<20
+
+// decodeRequest decodes r's JSON body into v, rejecting unknown fields and
+// reading at most maxBodyBytes. On failure it has already answered: 413 for
+// an oversized body, 400 for anything else.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, err)
+	return false
+}
+
 // writeCanonical sends a result as its canonical JSON bytes, so a result
 // relayed through any number of peers stays byte-identical to the origin.
 // The digest header lets every receiver verify the bytes arrived intact and
@@ -89,10 +113,7 @@ type dispatchResponse struct {
 
 func (n *Node) handleClusterJob(w http.ResponseWriter, r *http.Request) {
 	var spec server.JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeRequest(w, r, &spec) {
 		return
 	}
 	res, route, err := n.Dispatch(r.Context(), spec)
@@ -149,10 +170,7 @@ type clusterSweepSummary struct {
 // stream emits points in sweep order as soon as each completes.
 func (n *Node) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 	var sr server.SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sr); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeRequest(w, r, &sr) {
 		return
 	}
 	specs, vals, err := server.ExpandSweep(sr)
@@ -169,7 +187,9 @@ func (n *Node) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 		err   error
 	}
 	outs := make([]chan pointOut, len(specs))
-	sem := make(chan struct{}, n.cfg.SweepParallel)
+	// Enough in-flight points to saturate the fleet's pools with headroom
+	// for cache hits.
+	sem := make(chan struct{}, 2*n.local.Options().Workers*len(n.ring.nodes))
 	for i := range specs {
 		outs[i] = make(chan pointOut, 1)
 		go func(i int) {
@@ -324,10 +344,7 @@ func (n *Node) handlePeerCkptPut(w http.ResponseWriter, r *http.Request) {
 // on; a caller disconnect (hedge lost, coordinator gone) cancels the job.
 func (n *Node) handlePeerRun(w http.ResponseWriter, r *http.Request) {
 	var spec server.JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeRequest(w, r, &spec) {
 		return
 	}
 	n.m.peerRuns.Add(1)

@@ -44,9 +44,6 @@ func NewClient(timeout, probeTimeout time.Duration, rt http.RoundTripper) *Clien
 			IdleConnTimeout:     30 * time.Second,
 		}
 	}
-	if probeTimeout <= 0 {
-		probeTimeout = time.Second
-	}
 	return &Client{
 		http:         &http.Client{Timeout: timeout, Transport: rt},
 		probeTimeout: probeTimeout,

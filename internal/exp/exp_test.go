@@ -336,6 +336,9 @@ func TestTables(t *testing.T) {
 		if len(r.Tables) == 0 || len(r.Tables[0].Rows) == 0 {
 			t.Errorf("%s empty", id)
 		}
+		if id == "tab5" && !strings.Contains(r.String(), "RMW Buffer") {
+			t.Error("tab5 missing RMW Buffer row")
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/mem"
 	"repro/internal/vans"
+	"repro/internal/workload"
 )
 
 // scaledConfig returns a VANS config with shrunken buffers so LENS sweeps
@@ -231,7 +232,7 @@ func TestCapabilityTables(t *testing.T) {
 }
 
 func TestChaseAccessesShape(t *testing.T) {
-	accs := chaseAccesses(1024, 256, mem.OpRead, 64, 0, 1)
+	accs := workload.ChaseBlocks(1024, 256, mem.OpRead, 64, 1)
 	if len(accs) != 64 {
 		t.Fatalf("len = %d", len(accs))
 	}

@@ -11,7 +11,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/mem"
 	"repro/internal/pool"
-	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // MakeSystem builds a fresh instance of the system under test. Probers need
@@ -51,36 +51,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// chaseAccesses builds the access list of a pointer-chasing pass: PC-Blocks
-// of blockSize visited in a single-cycle random permutation, each block read
-// (or written) sequentially in 64B lines. steps counts 64B accesses.
-func chaseAccesses(region, blockSize uint64, op mem.Op, steps int, base uint64, seed uint64) []mem.Access {
-	if blockSize < 64 {
-		blockSize = 64
-	}
-	nBlocks := int(region / blockSize)
-	if nBlocks < 1 {
-		nBlocks = 1
-	}
-	var perm []int
-	if nBlocks > 1 {
-		perm = sim.NewRNG(seed).PermCycle(nBlocks)
-	} else {
-		perm = []int{0}
-	}
-	linesPerBlock := int(blockSize / 64)
-	accs := make([]mem.Access, 0, steps)
-	at := 0
-	for len(accs) < steps {
-		blockBase := base + uint64(at)*blockSize
-		for l := 0; l < linesPerBlock && len(accs) < steps; l++ {
-			accs = append(accs, mem.Access{Op: op, Addr: blockBase + uint64(l)*64, Size: 64})
-		}
-		at = perm[at]
-	}
-	return accs
-}
-
 // PtrChase runs the pointer-chasing microbenchmark: random block order,
 // sequential 64B accesses within each block, dependent chain. It returns
 // the steady-state average latency per cache line in ns.
@@ -96,7 +66,7 @@ func PtrChase(mk MakeSystem, region, blockSize uint64, op mem.Op, opt Options) f
 		warmSteps = 4 * opt.MaxSteps
 	}
 	for p := 0; p < opt.WarmPasses; p++ {
-		warm := chaseAccesses(region, blockSize, op, warmSteps, 0, opt.Seed)
+		warm := workload.ChaseBlocks(region, blockSize, op, warmSteps, opt.Seed)
 		if op.IsWrite() {
 			d.RunWindow(warm, opt.Window)
 		} else {
@@ -111,7 +81,7 @@ func PtrChase(mk MakeSystem, region, blockSize uint64, op mem.Op, opt Options) f
 	if steps < 64 {
 		steps = 64
 	}
-	accs := chaseAccesses(region, blockSize, op, steps, 0, opt.Seed+1)
+	accs := workload.ChaseBlocks(region, blockSize, op, steps, opt.Seed+1)
 	start := sys.Engine().Now()
 	d.RunChain(accs)
 	return mem.ToNs(sys, sys.Engine().Now()-start) / float64(len(accs))
@@ -163,9 +133,9 @@ func ReadAfterWrite(mk MakeSystem, region uint64, opt Options) RaWResult {
 	const rounds = 3
 	start := sys.Engine().Now()
 	for r := 0; r < rounds; r++ {
-		d.RunChain(chaseAccesses(region, 64, mem.OpWriteNT, steps, 0, opt.Seed))
+		d.RunChain(workload.ChaseBlocks(region, 64, mem.OpWriteNT, steps, opt.Seed))
 		d.Fence()
-		d.RunChain(chaseAccesses(region, 64, mem.OpRead, steps, 0, opt.Seed))
+		d.RunChain(workload.ChaseBlocks(region, 64, mem.OpRead, steps, opt.Seed))
 	}
 	rawTotal := mem.ToNs(sys, sys.Engine().Now()-start) / float64(2*steps*rounds)
 

@@ -361,22 +361,3 @@ func (x *XPoint) AdoptPersistent(old *XPoint) {
 	// Wear counters carry over; decay timestamps restart at cycle 0.
 	old.wear.forEach(func(blk, w uint64) { x.wear.set(blk, w) })
 }
-
-// CopyBlock moves one media block's functional contents from src to dst
-// (block-aligned); used by wear-leveling migration.
-func (x *XPoint) CopyBlock(src, dst uint64) {
-	if !x.cfg.Functional {
-		return
-	}
-	srcIdx := (src % x.cfg.Capacity) / x.cfg.BlockSize
-	dstIdx := (dst % x.cfg.Capacity) / x.cfg.BlockSize
-	srcBuf := x.data.block(srcIdx, false)
-	if srcBuf == nil {
-		// Source never written: the destination must read as zeroes.
-		if dstBuf := x.data.block(dstIdx, false); dstBuf != nil {
-			clear(dstBuf)
-		}
-		return
-	}
-	copy(x.data.block(dstIdx, true), srcBuf)
-}

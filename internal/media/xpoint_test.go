@@ -145,20 +145,6 @@ func TestFunctionalDisabledNoops(t *testing.T) {
 	}
 }
 
-func TestCopyBlock(t *testing.T) {
-	_, x := newTest(Config{Functional: true})
-	x.WriteData(0, []byte{9, 8, 7})
-	x.CopyBlock(0, 4096)
-	if got := x.ReadData(4096, 3); !bytes.Equal(got, []byte{9, 8, 7}) {
-		t.Fatalf("CopyBlock data = %v", got)
-	}
-	// Copying an unwritten block clears the destination.
-	x.CopyBlock(8192, 4096)
-	if got := x.ReadData(4096, 3); !bytes.Equal(got, []byte{0, 0, 0}) {
-		t.Fatalf("CopyBlock from empty = %v", got)
-	}
-}
-
 // Property: functional store round-trips arbitrary writes at arbitrary
 // offsets (last-write-wins within a single sequential pass).
 func TestFunctionalRoundTripProperty(t *testing.T) {

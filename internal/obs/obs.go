@@ -15,9 +15,9 @@
 //     no wiring at all.
 //  3. Deterministic aggregation under parallelism. Construction-time calls
 //     (Child, Attach, registration, AdoptEngine) take the parent mutex;
-//     the hot path (Emit, Counter.Add, Histogram.Observe) is single-threaded
-//     by the same argument as the engine itself: each child Obs belongs to
-//     exactly one engine's goroutine. Aggregation (Dump, Digest) happens
+//     the hot path (Emit, Histogram.Observe, the fields behind RegisterPtr)
+//     is single-threaded by the same argument as the engine itself: each
+//     child Obs belongs to exactly one engine's goroutine. Aggregation (Dump, Digest) happens
 //     after the owning goroutines join.
 package obs
 
@@ -200,25 +200,13 @@ func (o *Obs) AdoptEngine(e *sim.Engine) {
 // ------------------------------------------------------------ counters
 
 // Counter is a registry-backed named counter. It reads from exactly one of:
-// an owned value (Add/Inc), a registered pointer into an existing stats
-// struct (zero hot-path cost — the component keeps bumping its own field),
-// or a derived function.
+// a registered pointer into an existing stats struct (zero hot-path cost —
+// the component keeps bumping its own field), or a derived function.
 type Counter struct {
 	comp, name string
-	v          uint64
 	ptr        *uint64
 	fn         func() uint64
 }
-
-// Add increments an owned counter.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Inc increments an owned counter by one.
-func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 {
@@ -227,24 +215,9 @@ func (c *Counter) Value() uint64 {
 		return 0
 	case c.fn != nil:
 		return c.fn()
-	case c.ptr != nil:
-		return *c.ptr
 	default:
-		return c.v
+		return *c.ptr
 	}
-}
-
-// Counter registers (or returns) an owned counter named comp/name. Returns
-// nil on a nil Obs; Counter methods are nil-safe.
-func (o *Obs) Counter(comp, name string) *Counter {
-	if o == nil {
-		return nil
-	}
-	c := &Counter{comp: comp, name: name}
-	o.mu.Lock()
-	o.counters = append(o.counters, c)
-	o.mu.Unlock()
-	return c
 }
 
 // RegisterPtr backs a registry counter by an existing uint64 field. The

@@ -50,6 +50,29 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
+// maxBodyBytes caps a JSON request body. JSON escaping of a text trace at
+// most doubles it, and the rest of a job or sweep spec is small.
+const maxBodyBytes = 2*maxTraceBytes + 1<<20
+
+// decodeRequest decodes r's JSON body into v, rejecting unknown fields and
+// reading at most maxBodyBytes. On failure it has already answered: 413 for
+// an oversized body, 400 for anything else.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, err)
+	return false
+}
+
 // submitResponse is the POST /v1/jobs payload: the job status, plus the
 // result inline when the job is already terminal (cache hit or ?wait=1).
 type submitResponse struct {
@@ -59,10 +82,7 @@ type submitResponse struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeRequest(w, r, &spec) {
 		return
 	}
 	st, err := s.Submit(spec)

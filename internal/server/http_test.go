@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -402,6 +403,58 @@ func TestHTTPMetricsShape(t *testing.T) {
 	for _, key := range []string{"p50", "p95", "p99"} {
 		if _, ok := lat[key]; !ok {
 			t.Errorf("latency summary missing %q", key)
+		}
+	}
+}
+
+// countingBody is a request body of exactly n bytes: prefix, filler 'a's,
+// suffix. It counts the bytes the handler pulled from it.
+type countingBody struct {
+	prefix, suffix string
+	n, read        int
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	if b.read >= b.n {
+		return 0, io.EOF
+	}
+	k := min(len(p), b.n-b.read)
+	tail := b.n - len(b.suffix)
+	for i := range p[:k] {
+		switch off := b.read + i; {
+		case off < len(b.prefix):
+			p[i] = b.prefix[off]
+		case off >= tail:
+			p[i] = b.suffix[off-tail]
+		default:
+			p[i] = 'a'
+		}
+	}
+	b.read += k
+	return k, nil
+}
+
+// TestHTTPBodyCap: a well-formed but oversized JSON body is refused with 413
+// after the handler read at most maxBodyBytes+1 bytes of it, instead of
+// being buffered whole and rejected by the trace-length check afterwards.
+func TestHTTPBodyCap(t *testing.T) {
+	s := New(Options{Workers: 1, QueueDepth: 4, CacheEntries: 4})
+	t.Cleanup(func() { s.Shutdown(30 * time.Second) })
+	h := s.Handler()
+	const job = `{"workload":{"kind":"trace","trace":"`
+	for _, c := range []struct{ path, prefix, suffix string }{
+		{"/v1/jobs", job, `"}}`},
+		{"/v1/sweep", `{"base":` + job, `"}},"parameter":"seed","values":["1"]}`},
+	} {
+		body := &countingBody{prefix: c.prefix, suffix: c.suffix, n: maxBodyBytes + 1<<20}
+		req := httptest.NewRequest(http.MethodPost, c.path, body)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413 (%s)", c.path, rec.Code, rec.Body.String())
+		}
+		if body.read > maxBodyBytes+1 {
+			t.Errorf("%s: handler read %d bytes, cap is %d", c.path, body.read, maxBodyBytes)
 		}
 	}
 }

@@ -104,7 +104,7 @@ func TestSimParallelExcludedFromHash(t *testing.T) {
 			for _, par := range []int{1, 4} {
 				rn := NewRunner()
 				rn.SimParallel = par
-				res, err := rn.RunAttempt(context.Background(), p, 1)
+				res, err := rn.RunAttemptCkpt(context.Background(), p, 1, nil)
 				if err != nil {
 					t.Fatalf("par %d: %v", par, err)
 				}

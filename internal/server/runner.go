@@ -97,16 +97,9 @@ func NewRunner() *Runner { return &Runner{} }
 
 // Run executes the plan to completion or until ctx is done. The returned
 // result is independent of which Runner executed it. Run is attempt 0; the
-// scheduler retries transient faults through RunAttempt.
+// scheduler retries transient faults through RunAttemptCkpt.
 func (rn *Runner) Run(ctx context.Context, p *Plan) (*Result, error) {
-	return rn.RunAttempt(ctx, p, 0)
-}
-
-// RunAttempt executes one retry attempt of the plan. The attempt number
-// feeds the fault injector: transient faults fire only on attempt 0, so a
-// retried job deterministically succeeds while permanent faults recur.
-func (rn *Runner) RunAttempt(ctx context.Context, p *Plan, attempt int) (*Result, error) {
-	return rn.RunAttemptCkpt(ctx, p, attempt, nil)
+	return rn.RunAttemptCkpt(ctx, p, 0, nil)
 }
 
 // CkptIO wires one run attempt to checkpoint storage. All fields are
@@ -182,11 +175,14 @@ func decodeSnapshot(stamp string, snap []byte, d *mem.Driver, sys *vans.System) 
 	return idx, total, nil
 }
 
-// RunAttemptCkpt is RunAttempt with checkpoint I/O. The access stream is the
-// warmup prefix (when the plan has one) followed by the main workload; a
-// forced barrier sits at the boundary, periodic barriers every CkptEvery
-// accesses. Snapshots restore only into the exact plan (and snapshot format
-// version) that produced them — the stamp check enforces it.
+// RunAttemptCkpt executes one retry attempt of the plan with checkpoint I/O.
+// The attempt number feeds the fault injector: transient faults fire only on
+// attempt 0, so a retried job deterministically succeeds while permanent
+// faults recur. The access stream is the warmup prefix (when the plan has
+// one) followed by the main workload; a forced barrier sits at the boundary,
+// periodic barriers every CkptEvery accesses. Snapshots restore only into
+// the exact plan (and snapshot format version) that produced them — the
+// stamp check enforces it.
 func (rn *Runner) RunAttemptCkpt(ctx context.Context, p *Plan, attempt int, io *CkptIO) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -6,18 +6,6 @@ import (
 	"sort"
 )
 
-// Counter is a named monotonically increasing event counter.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.Value += n }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Value++ }
-
 // Accumulator collects samples and exposes streaming moments plus the raw
 // samples for percentile queries. It is used for latency distributions.
 type Accumulator struct {
@@ -116,10 +104,6 @@ func (a *Accumulator) Percentile(p float64) float64 {
 	frac := rank - float64(lo)
 	return a.samples[lo]*(1-frac) + a.samples[hi]*frac
 }
-
-// Samples returns the raw samples (sorted if a percentile was queried).
-// The caller must not mutate the returned slice.
-func (a *Accumulator) Samples() []float64 { return a.samples }
 
 // Reset discards all samples.
 func (a *Accumulator) Reset() {

@@ -99,49 +99,9 @@ func TestReaderReportsLineNumber(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	recs := sampleRecords()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("got %d records", len(got))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d: got %+v want %+v", i, got[i], recs[i])
-		}
-	}
-}
-
-func TestBinaryRejectsBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}
-
-func TestBinaryTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, sampleRecords()); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated trace accepted")
-	}
-}
-
-// Property: binary codec round-trips arbitrary records, including
-// non-monotone cycles.
-func TestBinaryRoundTripProperty(t *testing.T) {
+// Property: the text codec round-trips arbitrary records, including
+// non-monotone cycles and addresses across the whole 64-bit range.
+func TestTextRoundTripProperty(t *testing.T) {
 	f := func(cycles []uint32, addrs []uint64, seed uint64) bool {
 		n := len(cycles)
 		if len(addrs) < n {
@@ -158,10 +118,16 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, recs); err != nil {
+		w := NewWriter(&buf)
+		for _, r := range recs {
+			if err := w.Write(r); err != nil {
+				return false
+			}
+		}
+		if err := w.Flush(); err != nil {
 			return false
 		}
-		got, err := ReadBinary(&buf)
+		got, err := NewReader(&buf).ReadAll()
 		if err != nil || len(got) != len(recs) {
 			return false
 		}

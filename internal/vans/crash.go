@@ -62,19 +62,3 @@ func CheckPowerFail(cfg Config, accs []mem.Access, window int, cut sim.Cycle, se
 		Mismatches:     mism,
 	}, nil
 }
-
-// SweepPowerFail runs CheckPowerFail at every cut cycle in cuts and returns
-// the per-cut reports. It is the "every injection point" sweep: a workload is
-// replayed from scratch for each cut so reports are independent and
-// deterministic.
-func SweepPowerFail(cfg Config, accs []mem.Access, window int, cuts []sim.Cycle, seed uint64) ([]fault.CrashReport, error) {
-	out := make([]fault.CrashReport, 0, len(cuts))
-	for _, cut := range cuts {
-		rep, err := CheckPowerFail(cfg, accs, window, cut, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}

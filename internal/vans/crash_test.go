@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -39,6 +40,21 @@ func randomWorkload(seed uint64, n int, span uint64) []mem.Access {
 	return accs
 }
 
+// checkCuts runs CheckPowerFail at every cut cycle in cuts, replaying the
+// workload from scratch for each so the reports are independent.
+func checkCuts(t *testing.T, cfg Config, accs []mem.Access, window int, cuts []sim.Cycle, seed uint64) []fault.CrashReport {
+	t.Helper()
+	out := make([]fault.CrashReport, 0, len(cuts))
+	for _, cut := range cuts {
+		rep, err := CheckPowerFail(cfg, accs, window, cut, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rep)
+	}
+	return out
+}
+
 func TestCheckPowerFailConsistentAcrossCutSweep(t *testing.T) {
 	cfg := crashConfig(1)
 	accs := randomWorkload(3, 400, 1<<20)
@@ -56,10 +72,7 @@ func TestCheckPowerFailConsistentAcrossCutSweep(t *testing.T) {
 		t.Fatal("empty run")
 	}
 	cuts := []sim.Cycle{0, 1, end / 17, end / 5, end / 3, end / 2, 2 * end / 3, end - 1, end, end + 1000}
-	reports, err := SweepPowerFail(cfg, accs, 8, cuts, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := checkCuts(t, cfg, accs, 8, cuts, 11)
 	for i, rep := range reports {
 		if !rep.Consistent {
 			t.Errorf("cut %d (cycle %d): inconsistent recovery: %+v", i, cuts[i], rep.Mismatches)
@@ -81,14 +94,8 @@ func TestPowerFailSweepByteIdenticalAcrossRuns(t *testing.T) {
 	cfg := crashConfig(1)
 	accs := randomWorkload(9, 200, 1<<19)
 	cuts := []sim.Cycle{500, 5000, 50000, 500000}
-	a, err := SweepPowerFail(cfg, accs, 4, cuts, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SweepPowerFail(cfg, accs, 4, cuts, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := checkCuts(t, cfg, accs, 4, cuts, 23)
+	b := checkCuts(t, cfg, accs, 4, cuts, 23)
 	ja, _ := json.Marshal(a)
 	jb, _ := json.Marshal(b)
 	if string(ja) != string(jb) {

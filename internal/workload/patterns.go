@@ -11,20 +11,40 @@ import (
 // is deterministic under seed. Replay it with window 1 — every hop depends
 // on the previous load. Shared by cmd/vans and nvmserved chase jobs.
 func ChaseAccesses(regionBytes uint64, maxSteps int, seed uint64) []mem.Access {
-	blocks := int(regionBytes / mem.CacheLine)
-	if blocks < 2 {
-		blocks = 2
+	if regionBytes < 2*mem.CacheLine {
+		regionBytes = 2 * mem.CacheLine
 	}
-	steps := blocks
+	steps := int(regionBytes / mem.CacheLine)
 	if maxSteps > 0 && steps > maxSteps {
 		steps = maxSteps
 	}
-	perm := sim.NewRNG(seed).PermCycle(blocks)
+	return ChaseBlocks(regionBytes, mem.CacheLine, mem.OpRead, steps, seed)
+}
+
+// ChaseBlocks builds the access list of a pointer-chasing pass (LENS's
+// PC-Blocks): blocks of blockSize visited in a single-cycle random
+// permutation, each block read (or written) sequentially in 64B lines.
+// steps counts 64B accesses.
+func ChaseBlocks(region, blockSize uint64, op mem.Op, steps int, seed uint64) []mem.Access {
+	if blockSize < mem.CacheLine {
+		blockSize = mem.CacheLine
+	}
+	nBlocks := int(region / blockSize)
+	if nBlocks < 1 {
+		nBlocks = 1
+	}
+	perm := []int{0}
+	if nBlocks > 1 {
+		perm = sim.NewRNG(seed).PermCycle(nBlocks)
+	}
+	linesPerBlock := int(blockSize / mem.CacheLine)
 	accs := make([]mem.Access, 0, steps)
 	at := 0
-	for i := 0; i < steps; i++ {
-		accs = append(accs, mem.Access{Op: mem.OpRead,
-			Addr: uint64(at) * mem.CacheLine, Size: mem.CacheLine})
+	for len(accs) < steps {
+		blockBase := uint64(at) * blockSize
+		for l := 0; l < linesPerBlock && len(accs) < steps; l++ {
+			accs = append(accs, mem.Access{Op: op, Addr: blockBase + uint64(l)*mem.CacheLine, Size: mem.CacheLine})
+		}
 		at = perm[at]
 	}
 	return accs

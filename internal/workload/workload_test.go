@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repro/internal/cpu"
@@ -273,5 +276,40 @@ func TestHashMapMix(t *testing.T) {
 	}
 	if loads == 0 || stores == 0 || fences == 0 {
 		t.Fatalf("mix: loads=%d stores=%d fences=%d", loads, stores, fences)
+	}
+}
+
+// TestChaseAccessesGolden pins the chase-job stream (length plus a digest of
+// op, address and size per access) to recorded values, including regions
+// under two lines, which are clamped to two: chase-job hashes promise the
+// same accesses for the same spec.
+func TestChaseAccessesGolden(t *testing.T) {
+	for _, c := range []struct {
+		region uint64
+		max    int
+		seed   uint64
+		n      int
+		digest string
+	}{
+		{0, 0, 1, 2, "bf063febe58c51cd"},
+		{64, 5, 1, 2, "bf063febe58c51cd"},
+		{200, 0, 3, 3, "13ffab2c04357eaa"},
+		{64 << 10, 0, 7, 1024, "fa51bba62d3e34d6"},
+		{1 << 20, 1000, 9, 1000, "b8afdb1aa3adf222"},
+	} {
+		accs := ChaseAccesses(c.region, c.max, c.seed)
+		h := sha256.New()
+		for _, a := range accs {
+			var b [13]byte
+			b[0] = byte(a.Op)
+			binary.LittleEndian.PutUint64(b[1:], a.Addr)
+			binary.LittleEndian.PutUint32(b[9:], a.Size)
+			h.Write(b[:])
+		}
+		got := fmt.Sprintf("%x", h.Sum(nil)[:8])
+		if len(accs) != c.n || got != c.digest {
+			t.Errorf("ChaseAccesses(%d, %d, %d): %d accesses digest %s, want %d %s",
+				c.region, c.max, c.seed, len(accs), got, c.n, c.digest)
+		}
 	}
 }
