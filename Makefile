@@ -30,7 +30,10 @@ dash-smoke:
 # every canonical figure shape serially and with sharded cycle rounds
 # (-par 2 and 4) and compares canonical result bytes plus job hashes; the
 # sim-level property tests replay randomized cross-shard programs the same
-# way, including with the worker pool budget exhausted. Both raise GOMAXPROCS internally so the
+# way, including with the worker pool budget exhausted. The same -run pattern
+# also picks up TestParallelByteIdenticalPooledRecords, which replays a 6-DIMM
+# read/write mix at SimParallel=2 so the recycled hop records of concurrently
+# running channels meet the race detector. Both raise GOMAXPROCS internally so the
 # shard workers really run concurrently even on small CI hosts.
 par-smoke:
 	$(GO) test -race -count=1 ./internal/server/ -run 'TestParallelByteIdentical|TestSimParallelExcludedFromHash'

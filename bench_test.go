@@ -5,12 +5,14 @@ package repro
 // reports the headline metric alongside the wall time. Run the paper-scale
 // versions with:  go run ./cmd/experiments -all -scale paper
 import (
+	"context"
 	"runtime"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/exp"
 	"repro/internal/pool"
+	"repro/internal/server"
 )
 
 // runExp executes one registered experiment b.N times.
@@ -119,3 +121,29 @@ func BenchmarkOtherNVRAMSerial(b *testing.B) { runExpPar(b, "other-nvram", 1) }
 func BenchmarkOtherNVRAMPar4(b *testing.B)   { runExpPar(b, "other-nvram", 4) }
 func BenchmarkFig13dSerial(b *testing.B)     { runExpPar(b, "fig13d", 1) }
 func BenchmarkFig13dPar4(b *testing.B)       { runExpPar(b, "fig13d", 4) }
+
+// BenchmarkChaseAITJob runs one service job of the end-to-end benchmark's
+// chase-ait shape through server.Runner: a dependent pointer chase over a
+// 64M region on one DIMM, four times the reach of the AIT buffer, so most
+// hops miss it and pull a 4KB line fill from the media. It tracks the
+// allocation cost of the VANS read, fill and miss path (allocs_op).
+func BenchmarkChaseAITJob(b *testing.B) {
+	spec := server.JobSpec{
+		Config:   server.ConfigSpec{DIMMs: 1, MediaBytes: "256M"},
+		Workload: server.WorkloadSpec{Kind: server.KindChase, Region: "64M", MaxSteps: 16384},
+		Window:   1,
+		Seed:     1,
+	}
+	p, err := spec.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := server.NewRunner()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Run(context.Background(), p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -9,13 +9,13 @@ import (
 
 // SaveState serializes the controller's mutable state. Checkpoints cut at
 // engine-idle barriers, so the request queue must be empty and no access may
-// be in flight — a queued *mem.Request carries a completion closure that has
-// no identity outside this process. What persists across idle is the bank and
+// be in flight — a queued access carries a completion callback that has no
+// identity outside this process. What persists across idle is the bank and
 // rank timing state (open rows, earliest-issue cycles, tFAW windows, refresh
 // deadlines), the data-bus horizon, burst-spacing history, and the stats.
 //
 // Field order: bank count, per-bank (open, openRow, nextACT, nextPRE,
-// nextRW); rank count, per-rank (lastACTs, nextACT, nextRD, nextRefresh);
+// nextRW); rank count, per-rank (tFAW window oldest first, nextACT, nextRD, nextRefresh);
 // busFree, lastBurstBG, lastBurstAt, haveBurst; stats.
 func (c *Controller) SaveState(enc *ckpt.Enc) error {
 	if !c.queue.Empty() || c.inflight != 0 || c.busy {
@@ -36,9 +36,9 @@ func (c *Controller) SaveState(enc *ckpt.Enc) error {
 	enc.U32(uint32(len(c.ranks)))
 	for i := range c.ranks {
 		rk := &c.ranks[i]
-		acts := make([]uint64, len(rk.lastACTs))
-		for j, a := range rk.lastACTs {
-			acts[j] = uint64(a)
+		acts := make([]uint64, rk.nActs)
+		for j := range acts {
+			acts[j] = uint64(rk.act(j))
 		}
 		enc.U64s(acts)
 		enc.U64(uint64(rk.nextACT))
@@ -99,9 +99,9 @@ func (c *Controller) LoadState(dec *ckpt.Dec) error {
 		if len(acts) > 4 {
 			return fmt.Errorf("%w: rank tFAW window of %d activations", ckpt.ErrCorrupt, len(acts))
 		}
-		rk.lastACTs = rk.lastACTs[:0]
-		for _, a := range acts {
-			rk.lastACTs = append(rk.lastACTs, sim.Cycle(a))
+		rk.nActs, rk.actHead = len(acts), 0
+		for j, a := range acts {
+			rk.acts[j] = sim.Cycle(a)
 		}
 		rk.nextACT = sim.Cycle(dec.U64())
 		rk.nextRD = sim.Cycle(dec.U64())

@@ -20,20 +20,52 @@ type bankState struct {
 // rankState tracks rank-wide constraints: tRRD/tFAW activation pacing,
 // write-to-read turnaround and refresh.
 type rankState struct {
-	lastACTs    []sim.Cycle // up to 4 most recent ACT times (tFAW window)
-	nextACT     sim.Cycle   // tRRD pacing
-	nextRD      sim.Cycle   // tWTR turnaround
+	// acts is a ring of the up to 4 most recent ACT times (the tFAW
+	// window): nActs entries starting at the oldest, acts[actHead].
+	acts        [4]sim.Cycle
+	nActs       int
+	actHead     int
+	nextACT     sim.Cycle // tRRD pacing
+	nextRD      sim.Cycle // tWTR turnaround
 	nextRefresh sim.Cycle
 }
 
-// pending is a queued request with its decoded coordinates. bursts is the
-// number of back-to-back column bursts the request occupies (1 for a 64B
-// access; an Optane AIT 256B sector access uses 4).
+// act returns the i-th oldest activation of the tFAW window.
+func (rk *rankState) act(i int) sim.Cycle { return rk.acts[(rk.actHead+i)%len(rk.acts)] }
+
+// noteACT records an activation, displacing the oldest once the window
+// holds four.
+func (rk *rankState) noteACT(at sim.Cycle) {
+	if rk.nActs < len(rk.acts) {
+		rk.acts[(rk.actHead+rk.nActs)%len(rk.acts)] = at
+		rk.nActs++
+		return
+	}
+	rk.acts[rk.actHead] = at
+	rk.actHead = (rk.actHead + 1) % len(rk.acts)
+}
+
+// pending is a queued access with its decoded coordinates. bursts is the
+// number of back-to-back column bursts the access occupies (1 for a 64B
+// access; an Optane AIT 256B sector access uses 4). done(arg), when done is
+// non-nil, runs at data completion.
 type pending struct {
-	req    *mem.Request
+	addr   uint64
 	coord  Coord
 	write  bool
 	bursts int
+	done   func(any)
+	arg    any
+}
+
+// completion is the record behind one serviced access's completion event.
+// Records come from the controller's free list, which only this
+// controller's own events touch.
+type completion struct {
+	c    *Controller
+	done func(any)
+	arg  any
+	next *completion
 }
 
 // Stats counts controller activity.
@@ -70,6 +102,7 @@ type Controller struct {
 
 	inflight int
 	busy     bool
+	free     *completion // recycled completion records
 
 	stats Stats
 
@@ -152,47 +185,53 @@ func (c *Controller) Submit(r *mem.Request) bool {
 		return false
 	}
 	r.Issued = c.eng.Now()
-	c.queue.Push(pending{
-		req:    r,
-		coord:  c.cfg.Geometry.MapAddr(r.Addr % c.cfg.Geometry.Capacity()),
-		write:  r.Op.IsWrite() || r.Op == mem.OpClwb,
-		bursts: 1,
-	})
-	c.inflight++
-	c.kick()
+	c.enqueue(r.Addr, r.Op.IsWrite() || r.Op == mem.OpClwb, 1,
+		func(any) { r.Complete(c.eng.Now()) }, nil)
 	return true
 }
 
 // Schedule is the composition entry point: time one single-burst access at
-// addr and call done when its data completes. It bypasses mem.Request
-// bookkeeping.
-func (c *Controller) Schedule(addr uint64, write bool, done func()) bool {
-	return c.ScheduleN(addr, write, 1, done)
+// addr and run done(arg) when its data completes (nothing when done is nil).
+// done is typically a package-level hop function and arg the caller's
+// record, so composing models time their DRAM traffic without allocating.
+func (c *Controller) Schedule(addr uint64, write bool, done func(any), arg any) bool {
+	return c.ScheduleN(addr, write, 1, done, arg)
 }
 
 // ScheduleN times one access of n back-to-back bursts (n*64 contiguous
-// bytes within one row) as a single queue entry.
-func (c *Controller) ScheduleN(addr uint64, write bool, n int, done func()) bool {
+// bytes within one row) as a single queue entry; see Schedule.
+func (c *Controller) ScheduleN(addr uint64, write bool, n int, done func(any), arg any) bool {
 	if c.queue.Full() {
 		return false
 	}
 	if n < 1 {
 		n = 1
 	}
-	r := &mem.Request{Addr: addr, Size: uint32(n * 64), Issued: c.eng.Now(),
-		OnDone: func(*mem.Request) {
-			if done != nil {
-				done()
-			}
-		}}
-	if write {
-		r.Op = mem.OpWrite
-	}
-	c.queue.Push(pending{req: r, coord: c.cfg.Geometry.MapAddr(addr % c.cfg.Geometry.Capacity()),
-		write: write, bursts: n})
+	c.enqueue(addr, write, n, done, arg)
+	return true
+}
+
+// enqueue queues one access the caller has checked fits and starts the
+// scheduler loop.
+func (c *Controller) enqueue(addr uint64, write bool, n int, done func(any), arg any) {
+	c.queue.Push(pending{addr: addr, coord: c.cfg.Geometry.MapAddr(addr % c.cfg.Geometry.Capacity()),
+		write: write, bursts: n, done: done, arg: arg})
 	c.inflight++
 	c.kick()
-	return true
+}
+
+// ctrlComplete is the data-completion event of one serviced access: it
+// recycles the record before running the completion, so a completion that
+// schedules further DRAM traffic reuses it.
+func ctrlComplete(a any) {
+	k := a.(*completion)
+	c, done, arg := k.c, k.done, k.arg
+	*k = completion{next: c.free}
+	c.free = k
+	c.inflight--
+	if done != nil {
+		done(arg)
+	}
 }
 
 func (c *Controller) completeWhenDrained(r *mem.Request) {
@@ -310,17 +349,14 @@ func (c *Controller) serviceNext() {
 		actAt := maxCycle(cursor, b.nextACT)
 		actAt = maxCycle(actAt, rk.nextACT)
 		// tFAW: at most 4 ACTs in any TFAW window per rank.
-		if len(rk.lastACTs) == 4 {
-			if w := rk.lastACTs[0] + t.TFAW; actAt < w {
+		if rk.nActs == len(rk.acts) {
+			if w := rk.act(0) + t.TFAW; actAt < w {
 				actAt = w
 			}
 		}
 		c.emit(Cmd{At: actAt, Kind: CmdACT, Coord: p.coord})
 		rk.nextACT = actAt + t.TRRD
-		rk.lastACTs = append(rk.lastACTs, actAt)
-		if len(rk.lastACTs) > 4 {
-			rk.lastACTs = rk.lastACTs[1:]
-		}
+		rk.noteACT(actAt)
 		b.open = true
 		b.openRow = p.coord.Row
 		b.nextRW = maxCycle(b.nextRW, actAt+t.TRCD)
@@ -395,14 +431,17 @@ func (c *Controller) serviceNext() {
 	}
 	if c.o.Active() {
 		c.o.Emit(obs.Event{Now: rwAt, Stage: obs.StageDRAM, Pos: obs.PosIssue,
-			Write: p.write, Comp: c.comp, Addr: p.req.Addr, Arg: uint64(dataEnd - rwAt)})
+			Write: p.write, Comp: c.comp, Addr: p.addr, Arg: uint64(dataEnd - rwAt)})
 	}
 
-	req := p.req
-	c.eng.Schedule(dataEnd, func() {
-		c.inflight--
-		req.Complete(c.eng.Now())
-	})
+	k := c.free
+	if k != nil {
+		c.free = k.next
+	} else {
+		k = new(completion)
+	}
+	*k = completion{c: c, done: p.done, arg: p.arg}
+	c.eng.ScheduleFn(dataEnd, ctrlComplete, k)
 
 	// Next request may begin scheduling once this one's column command has
 	// issued — that is where command-bus serialization bites.

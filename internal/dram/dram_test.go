@@ -387,7 +387,7 @@ func TestScheduleCompositionEntryPoint(t *testing.T) {
 	cfg.RefreshEnabled = false
 	c := newTestController(cfg)
 	doneCount := 0
-	if !c.Schedule(0, false, func() { doneCount++ }) {
+	if !c.Schedule(0, false, func(a any) { *a.(*int)++ }, &doneCount) {
 		t.Fatal("Schedule rejected")
 	}
 	c.Engine().Run()

@@ -10,7 +10,7 @@ import (
 // CkptPolicy makes checkpoint barriers part of a run's semantics. At a
 // barrier the driver stops issuing, drains its outstanding window, runs the
 // engine to quiescence, and only then invokes Sink — so the whole system
-// serializes from an idle cut with no in-flight closures. Because the
+// serializes from an idle cut with no request in flight. Because the
 // barriers (the drains) perturb timing relative to a barrier-free run, the
 // policy's shape (Every, ForcedAt) belongs to the job plan and its hash: a
 // straight run and a resumed run of the same plan execute identical barriers

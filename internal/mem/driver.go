@@ -33,6 +33,10 @@ type Driver struct {
 	ckpt     *CkptPolicy
 	ckptErr  error
 	runStart sim.Cycle
+
+	// free holds completed requests for reuse: no system touches a request
+	// after completing it, so steady-state streams allocate none.
+	free []*Request
 }
 
 // NewDriver returns a driver bound to sys.
@@ -79,6 +83,20 @@ func (d *Driver) noteDone(r *Request) {
 				Addr: r.Addr, Arg: uint64(r.Latency())})
 		}
 	}
+}
+
+// newRequest returns a request for access a, recycled when one is free.
+func (d *Driver) newRequest(a Access, onDone func(*Request)) *Request {
+	var r *Request
+	if n := len(d.free); n > 0 {
+		r = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		r = new(Request)
+	}
+	d.nextID++
+	*r = Request{ID: d.nextID, Op: a.Op, Addr: a.Addr, Size: a.Size, Data: a.Data, OnDone: onDone}
+	return r
 }
 
 // Err returns the first access fault observed across all runs of this
@@ -131,14 +149,16 @@ func (d *Driver) submitBlocking(r *Request) {
 // only to the windowed stream: RunChain, and so Fence, executes no barriers.
 func (d *Driver) RunChain(accs []Access) []sim.Cycle {
 	lats := make([]sim.Cycle, 0, len(accs))
+	done := false
+	onDone := func(r *Request) { done = true; d.noteDone(r) }
+	isDone := func() bool { return done }
 	for _, a := range accs {
-		d.nextID++
-		done := false
-		r := &Request{ID: d.nextID, Op: a.Op, Addr: a.Addr, Size: a.Size, Data: a.Data,
-			OnDone: func(r *Request) { done = true; d.noteDone(r) }}
+		done = false
+		r := d.newRequest(a, onDone)
 		d.submitBlocking(r)
-		d.runUntil(func() bool { return done }, "request")
+		d.runUntil(isDone, "request")
 		lats = append(lats, r.Latency())
+		d.free = append(d.free, r)
 	}
 	return lats
 }
@@ -178,6 +198,11 @@ func (d *Driver) RunWindowChecked(accs []Access, window int, keepGoing func() bo
 	inflight := 0
 	drained := func() bool { return inflight == 0 }
 	windowOpen := func() bool { return inflight < window }
+	onDone := func(r *Request) {
+		inflight--
+		d.noteDone(r)
+		d.free = append(d.free, r)
+	}
 	completed := true
 	for i := first; i < len(accs); i++ {
 		a := accs[i]
@@ -201,10 +226,7 @@ func (d *Driver) RunWindowChecked(accs []Access, window int, keepGoing func() bo
 			break
 		}
 		d.runUntil(windowOpen, "window")
-		d.nextID++
-		r := &Request{ID: d.nextID, Op: a.Op, Addr: a.Addr, Size: a.Size, Data: a.Data,
-			OnDone: func(r *Request) { inflight--; d.noteDone(r) }}
-		d.submitBlocking(r)
+		d.submitBlocking(d.newRequest(a, onDone))
 		inflight++
 	}
 	d.runUntil(drained, "drain")

@@ -57,7 +57,9 @@ func (o Op) IsWrite() bool { return o == OpWrite || o == OpWriteNT }
 const CacheLine = 64
 
 // Request is one memory access flowing through a System. Requests are
-// allocated by the driver and owned by the system until OnDone fires.
+// allocated by the driver and owned by the system until OnDone fires; a
+// system must not touch a request after completing it, so the driver may
+// reuse it for a later access.
 type Request struct {
 	// ID is a driver-assigned identifier, unique within a run.
 	ID uint64
@@ -80,10 +82,6 @@ type Request struct {
 	// (an uncorrectable media read surfaces here as a typed error rather
 	// than a panic). Nil means the access succeeded.
 	Err error
-
-	// Meta lets system-internal layers attach routing state without extra
-	// allocation. External callers must not touch it.
-	Meta any
 }
 
 // Latency returns the request's completion latency in cycles.

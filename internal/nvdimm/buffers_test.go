@@ -100,17 +100,11 @@ func TestAITBufferMissingSectors(t *testing.T) {
 	b := NewAITBuffer(16, 4, 1024, 256) // 4 sectors per line
 	b.Allocate(7)
 	b.FillSector(7, 2)
-	missing := b.MissingSectors(7)
-	if len(missing) != 3 {
-		t.Fatalf("missing = %v", missing)
+	if missing := b.MissingSectors(7); missing != 0b1011 {
+		t.Fatalf("missing = %04b, want 1011 (sector 2 filled)", missing)
 	}
-	for _, s := range missing {
-		if s == 2 {
-			t.Fatal("filled sector listed missing")
-		}
-	}
-	if b.MissingSectors(99) != nil {
-		t.Fatal("absent page should report nil")
+	if b.MissingSectors(99) != 0 {
+		t.Fatal("absent page should report no missing sectors")
 	}
 }
 

@@ -1,6 +1,8 @@
 package nvdimm
 
 import (
+	"math/bits"
+
 	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/media"
@@ -64,6 +66,9 @@ type DIMM struct {
 	// pretrans is the optional pre-translation table support (nil when
 	// disabled); consulted by the Pre-translation read path.
 	pretrans *PreTransTable
+
+	// free lists recycled hop records.
+	free *hop
 
 	stats Stats
 
@@ -198,43 +203,121 @@ func (d *DIMM) dataAddr(page uint64, sector int) uint64 {
 	return dataBase + idx*d.cfg.AITLine + uint64(sector)*d.cfg.RMWBlock
 }
 
-// dramAccess schedules one 64B access on the on-DIMM DRAM, retrying under
-// backpressure.
-func (d *DIMM) dramAccess(addr uint64, write bool, done func()) {
-	if !d.dramC.Schedule(addr, write, done) {
-		d.eng.After(24, func() { d.dramAccess(addr, write, done) })
+// hop is the record one DIMM-internal operation carries through its chain of
+// scheduled events — a client read, a drained write group, an RMW or AIT
+// victim write-back, one speculative line-fill sector, or a DRAM retry. Each
+// event is a package-level func(any) taking the record, so the steady-state
+// access path allocates nothing. Records come from the DIMM's free list and
+// return to it when the operation ends; only events of the DIMM's own shard
+// take or return them (see DESIGN.md, "Allocation discipline").
+type hop struct {
+	d      *DIMM
+	block  uint64 // 256B block in CPU address space
+	page   uint64 // AIT page of block (set by the AIT stage)
+	sector int    // sector of block within its AIT line (set by the AIT stage)
+	// err carries an injected media read error (poison) from the media
+	// stage to the read's completion.
+	err error
+
+	// AIT stage: start cycle (for histAIT) and the continuation run when
+	// the table lookup and buffer or media service complete.
+	aitStart sim.Cycle
+	aitDone  func(*hop)
+
+	// Media stage: the translated address, the access kind, and the
+	// continuation run at media completion.
+	mediaAddr  uint64
+	write      bool
+	background bool
+	mediaDone  func(*hop)
+
+	// full marks a drained write group covering its whole block (no
+	// read-modify-write fill needed).
+	full bool
+
+	// readDone(readArg, err) returns a client read to the iMC.
+	readDone func(any, error)
+	readArg  any
+
+	// A DRAM access waiting out controller backpressure.
+	dramAddr  uint64
+	dramN     int
+	dramWrite bool
+	dramDone  func(any)
+	dramArg   any
+
+	next *hop // free list link
+}
+
+// newHop takes a zeroed record from the free list.
+func (d *DIMM) newHop() *hop {
+	h := d.free
+	if h != nil {
+		d.free = h.next
+		h.next = nil
+	} else {
+		h = new(hop)
 	}
+	h.d = d
+	return h
+}
+
+// putHop returns a finished record to the free list, dropping its
+// references.
+func (d *DIMM) putHop(h *hop) {
+	*h = hop{next: d.free}
+	d.free = h
 }
 
 // dramBurst schedules one n-burst access (n*64 contiguous bytes — a 256B
-// AIT sector is 4 bursts) as a single DRAM transaction, retrying under
-// backpressure.
-func (d *DIMM) dramBurst(addr uint64, n int, write bool, done func()) {
-	if !d.dramC.ScheduleN(addr, write, n, done) {
-		d.eng.After(24, func() { d.dramBurst(addr, n, write, done) })
+// AIT sector is 4 bursts, a table entry 1) on the on-DIMM DRAM as a single
+// transaction, running done(arg) at data completion. Under backpressure it
+// retries every 24 cycles.
+func (d *DIMM) dramBurst(addr uint64, n int, write bool, done func(any), arg any) {
+	if d.dramC.ScheduleN(addr, write, n, done, arg) {
+		return
 	}
+	r := d.newHop()
+	r.dramAddr, r.dramN, r.dramWrite, r.dramDone, r.dramArg = addr, n, write, done, arg
+	d.eng.AfterFn(24, hopDRAMRetry, r)
 }
 
-// mediaAccess performs one 256B demand media access through the
-// wear-leveler stall window, firing done at completion. Reads may surface an
-// injected uncorrectable media error (poison) through done; writes never do.
-func (d *DIMM) mediaAccess(cpuBlock uint64, write bool, done func(error)) {
-	d.mediaAccessPri(cpuBlock, write, false, done)
+func hopDRAMRetry(a any) {
+	r := a.(*hop)
+	d := r.d
+	addr, n, write, done, arg := r.dramAddr, r.dramN, r.dramWrite, r.dramDone, r.dramArg
+	d.putHop(r)
+	d.dramBurst(addr, n, write, done, arg)
 }
 
-func (d *DIMM) mediaAccessPri(cpuBlock uint64, write, background bool, done func(error)) {
-	mediaAddr := d.trans.ToMedia(cpuBlock)
+// mediaAccess performs one 256B media access for h.block through the
+// wear-leveler stall window and runs done(h) at completion. Background
+// accesses are speculative line fills (see media.XPoint.AccessBG). Reads may
+// pick up an injected uncorrectable media error (poison) in h.err; writes
+// never do.
+func (d *DIMM) mediaAccess(h *hop, write, background bool, done func(*hop)) {
+	h.write, h.background, h.mediaDone = write, background, done
+	d.issueMedia(h)
+}
+
+func hopIssueMedia(a any) {
+	h := a.(*hop)
+	h.d.issueMedia(h)
+}
+
+func (d *DIMM) issueMedia(h *hop) {
+	mediaAddr := d.trans.ToMedia(h.block)
 	if until := d.wear.BusyUntil(mediaAddr); until > d.eng.Now() {
 		d.stats.MediaStalls++
-		d.eng.Schedule(until, func() { d.mediaAccessPri(cpuBlock, write, background, done) })
+		d.eng.ScheduleFn(until, hopIssueMedia, h)
 		return
 	}
 	// Poison is drawn at issue time: the access still occupies the media
 	// (the ECC pipeline runs to completion) but delivers an error instead
 	// of data.
-	var perr error
-	if !write {
-		if perr = d.inj.ReadPoison(mediaAddr); perr != nil {
+	h.err = nil
+	if !h.write {
+		if h.err = d.inj.ReadPoison(mediaAddr); h.err != nil {
 			d.stats.MediaPoison++
 			if d.o.Active() {
 				d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageMedia, Pos: obs.PosFault,
@@ -242,21 +325,23 @@ func (d *DIMM) mediaAccessPri(cpuBlock uint64, write, background bool, done func
 			}
 		}
 	}
+	h.mediaAddr = mediaAddr
 	d.mediaInFlight++
-	cb := func() {
-		d.mediaInFlight--
-		if write {
-			d.wear.NoteWrite(mediaAddr)
-		}
-		if done != nil {
-			done(perr)
-		}
-	}
-	if background {
-		d.med.AccessBG(mediaAddr, write, cb)
+	if h.background {
+		d.med.AccessBG(mediaAddr, h.write, hopMediaDone, h)
 	} else {
-		d.med.Access(mediaAddr, write, cb)
+		d.med.Access(mediaAddr, h.write, hopMediaDone, h)
 	}
+}
+
+func hopMediaDone(a any) {
+	h := a.(*hop)
+	d := h.d
+	d.mediaInFlight--
+	if h.write {
+		d.wear.NoteWrite(h.mediaAddr)
+	}
+	h.mediaDone(h)
 }
 
 // maxInternalWrites bounds LSQ-drain concurrency: the RMW buffer cannot
@@ -281,18 +366,17 @@ func (d *DIMM) rmwSlot() sim.Cycle {
 
 // ---------------------------------------------------------------- read path
 
-// Read requests the 64B line at addr; done fires when data is ready to move
-// onto the bus back to the iMC. A non-nil error reports an uncorrectable
-// media read (poison): the access completes with full timing but no data.
-func (d *DIMM) Read(addr uint64, done func(error)) {
+// Read requests the 64B line at addr; done(arg, err) runs when data is ready
+// to move onto the bus back to the iMC. A non-nil err reports an
+// uncorrectable media read (poison): the access completes with full timing
+// but no data.
+func (d *DIMM) Read(addr uint64, done func(any, error), arg any) {
 	d.stats.ClientReads++
 	d.readsInFlight++
-	finish := func(err error) {
-		d.readsInFlight--
-		done(err)
-	}
+	h := d.newHop()
+	h.readDone, h.readArg = done, arg
 	line := addr - addr%64
-	block := d.block(addr)
+	h.block = d.block(addr)
 
 	// LSQ forwarding: pending store data is returned directly (data
 	// fast-forward, the effect the RaW prober measures).
@@ -302,17 +386,17 @@ func (d *DIMM) Read(addr uint64, done func(error)) {
 			d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageLSQ, Pos: obs.PosHit,
 				Comp: d.comp, Addr: addr})
 		}
-		d.eng.After(d.cyc.lsqLookup+d.cyc.rmwHit, func() { finish(nil) })
+		d.eng.AfterFn(d.cyc.lsqLookup+d.cyc.rmwHit, hopReadReturn, h)
 		return
 	}
 
 	start := d.rmwSlot() + d.cyc.lsqLookup
-	if d.rmw.Lookup(block) {
+	if d.rmw.Lookup(h.block) {
 		if d.o.Active() {
 			d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageRMW, Pos: obs.PosHit,
 				Comp: d.comp, Addr: addr})
 		}
-		d.eng.Schedule(start+d.cyc.rmwHit, func() { finish(nil) })
+		d.eng.ScheduleFn(start+d.cyc.rmwHit, hopReadReturn, h)
 		return
 	}
 	if d.o.Active() {
@@ -323,23 +407,39 @@ func (d *DIMM) Read(addr uint64, done func(error)) {
 	// Lazy cache probe (optimization, §V-C): frequently written data can be
 	// served from the small persistent write cache.
 	if d.lazy != nil {
-		if lat, hit := d.lazy.ReadProbe(block); hit {
-			d.eng.Schedule(start+lat, func() { finish(nil) })
+		if lat, hit := d.lazy.ReadProbe(h.block); hit {
+			d.eng.ScheduleFn(start+lat, hopReadReturn, h)
 			return
 		}
 	}
 
-	d.eng.Schedule(start, func() {
-		d.aitRead(block, func(err error) {
-			if err != nil {
-				// Poisoned data is never installed in the RMW buffer.
-				d.eng.After(d.cyc.rmwHit, func() { finish(err) })
-				return
-			}
-			d.installRMW(block, false)
-			d.eng.After(d.cyc.rmwHit, func() { finish(nil) })
-		})
-	})
+	d.eng.ScheduleFn(start, hopReadAIT, h)
+}
+
+func hopReadAIT(a any) {
+	h := a.(*hop)
+	h.d.aitRead(h, readFetched)
+}
+
+// readFetched continues a client read once the AIT delivered its sector:
+// install it in the RMW buffer (poisoned data never is) and return after
+// the buffer access.
+func readFetched(h *hop) {
+	d := h.d
+	if h.err == nil {
+		d.installRMW(h.block, false)
+	}
+	d.eng.AfterFn(d.cyc.rmwHit, hopReadReturn, h)
+}
+
+// hopReadReturn completes a client read.
+func hopReadReturn(a any) {
+	h := a.(*hop)
+	d := h.d
+	done, arg, err := h.readDone, h.readArg, h.err
+	d.putHop(h)
+	d.readsInFlight--
+	done(arg, err)
 }
 
 // installRMW inserts a block into the RMW buffer, handling eviction.
@@ -351,82 +451,112 @@ func (d *DIMM) installRMW(block uint64, dirty bool) {
 	if evicted && ev.Dirty {
 		// Write-back mode only: push the displaced line to the AIT.
 		d.writesInFlight++
-		d.aitWrite(ev.Block, func() { d.writesInFlight-- })
+		w := d.newHop()
+		w.block = ev.Block
+		d.aitWrite(w, writeRetired)
 	}
 }
 
-// aitRead fetches the 256B sector containing block from the AIT: a
-// translation-table DRAM read, then either an AIT-buffer DRAM read (hit) or
-// a media access with critical-sector-first line fill (miss). An injected
-// AIT stall spike (controller firmware hiccup) stretches the lookup latency.
-func (d *DIMM) aitRead(block uint64, done func(error)) {
-	page := d.page(block)
-	sector := d.sector(block)
+// writeRetired ends an internal write: a drained group, or an RMW or AIT
+// victim write-back.
+func writeRetired(h *hop) {
+	d := h.d
+	d.putHop(h)
+	d.writesInFlight--
+}
+
+func hopWriteRetired(a any) { writeRetired(a.(*hop)) }
+
+// aitStage starts the AIT stage of h: table-read accounting, the histAIT
+// start stamp, and the issue hook. done runs when the stage completes.
+func (d *DIMM) aitStage(h *hop, write bool, done func(*hop)) {
+	h.page = d.page(h.block)
+	h.sector = d.sector(h.block)
+	h.aitDone = done
 	d.stats.TableReads++
 	if d.histAIT != nil {
-		start := d.eng.Now()
-		inner := done
-		done = func(err error) {
-			d.histAIT.Observe(uint64(float64(d.eng.Now()-start) / dram.CyclesPerNano))
-			inner(err)
-		}
+		h.aitStart = d.eng.Now()
 	}
 	if d.o.Active() {
 		d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageAIT, Pos: obs.PosIssue,
-			Comp: d.comp, Addr: block})
+			Write: write, Comp: d.comp, Addr: h.block})
 	}
+}
+
+// aitFinished ends the AIT stage of h, recording its latency.
+func aitFinished(h *hop) {
+	d := h.d
+	if d.histAIT != nil {
+		d.histAIT.Observe(uint64(float64(d.eng.Now()-h.aitStart) / dram.CyclesPerNano))
+	}
+	h.aitDone(h)
+}
+
+func hopAITFinished(a any) { aitFinished(a.(*hop)) }
+
+// aitRead fetches the 256B sector containing h.block from the AIT: a
+// translation-table DRAM read, then either an AIT-buffer DRAM read (hit) or
+// a media access with critical-sector-first line fill (miss); done(h) runs
+// with h.err set on poison. An injected AIT stall spike (controller firmware
+// hiccup) stretches the lookup latency.
+func (d *DIMM) aitRead(h *hop, done func(*hop)) {
+	d.aitStage(h, false, done)
 	lookup := d.cyc.aitLookup
 	if stall := d.inj.AITStall(); stall > 0 {
 		d.stats.FaultStalls++
 		if d.o.Active() {
 			d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageAIT, Pos: obs.PosFault,
-				Comp: d.comp, Addr: block, Arg: uint64(stall)})
+				Comp: d.comp, Addr: h.block, Arg: uint64(stall)})
 		}
 		lookup += stall
 	}
-	d.eng.After(lookup, func() {
-		d.dramAccess(d.tableAddr(page), false, func() {
-			d.aitReadLookup(page, sector, block, done)
-		})
-	})
+	d.eng.AfterFn(lookup, hopAITReadTable, h)
 }
 
-// aitReadLookup continues aitRead after the translation-table access.
-func (d *DIMM) aitReadLookup(page uint64, sector int, block uint64, done func(error)) {
-	lineHit, sectorHit := d.buf.LookupSector(page, sector)
+func hopAITReadTable(a any) {
+	h := a.(*hop)
+	h.d.dramBurst(h.d.tableAddr(h.page), 1, false, hopAITReadLookup, h)
+}
+
+// hopAITReadLookup continues aitRead after the translation-table access.
+func hopAITReadLookup(a any) {
+	h := a.(*hop)
+	d := h.d
+	lineHit, sectorHit := d.buf.LookupSector(h.page, h.sector)
 	if d.o.Active() {
 		pos := obs.PosMiss
 		if sectorHit {
 			pos = obs.PosHit
 		}
 		d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageAIT, Pos: pos,
-			Comp: d.comp, Addr: block})
+			Comp: d.comp, Addr: h.block})
 	}
 	if sectorHit {
-		burst := int(d.cfg.RMWBlock / 64)
-		d.dramBurst(d.dataAddr(page, sector), burst, false, func() { done(nil) })
+		d.dramBurst(d.dataAddr(h.page, h.sector), int(d.cfg.RMWBlock/64), false, hopAITFinished, h)
 		return
 	}
 	if !lineHit {
-		d.allocateAITLine(page)
+		d.allocateAITLine(h.page)
 	}
 	// Critical sector from media, following sectors in the background.
-	d.mediaAccess(block, false, func(err error) {
-		if err != nil {
-			// Poisoned sector: nothing valid to install or buffer.
-			done(err)
-			return
-		}
-		d.buf.FillSector(page, sector)
-		// The fetched sector is also written into the DRAM buffer; that
-		// write is off the critical path.
-		burst := int(d.cfg.RMWBlock / 64)
-		d.dramBurst(d.dataAddr(page, sector), burst, true, nil)
-		done(nil)
-	})
+	page, sector := h.page, h.sector
+	d.mediaAccess(h, false, false, aitSectorFetched)
 	if d.cfg.ReadFillLine {
 		d.fillLine(page, sector)
 	}
+}
+
+// aitSectorFetched installs the critical sector a media read returned.
+func aitSectorFetched(h *hop) {
+	d := h.d
+	if h.err == nil {
+		d.buf.FillSector(h.page, h.sector)
+		// The fetched sector is also written into the DRAM buffer; that
+		// write is off the critical path.
+		d.dramBurst(d.dataAddr(h.page, h.sector), int(d.cfg.RMWBlock/64), true, nil, nil)
+	}
+	// A poisoned sector has nothing valid to install or buffer.
+	aitFinished(h)
 }
 
 // allocateAITLine makes room for page in the AIT buffer, writing back any
@@ -440,9 +570,10 @@ func (d *DIMM) allocateAITLine(page uint64) {
 		if ev.DirtySector&(1<<s) == 0 {
 			continue
 		}
-		victimBlock := ev.Page*d.cfg.AITLine + uint64(s)*d.cfg.RMWBlock
 		d.writesInFlight++
-		d.mediaAccess(victimBlock, true, func(error) { d.writesInFlight-- })
+		w := d.newHop()
+		w.block = ev.Page*d.cfg.AITLine + uint64(s)*d.cfg.RMWBlock
+		d.mediaAccess(w, true, false, writeRetired)
 	}
 }
 
@@ -451,69 +582,64 @@ func (d *DIMM) allocateAITLine(page uint64) {
 // whole-line fill LENS's amplification probe observes). Fills shed when the
 // backlog saturates.
 func (d *DIMM) fillLine(page uint64, except int) {
-	missing := d.buf.MissingSectors(page)
-	for _, s := range missing {
+	for missing := d.buf.MissingSectors(page); missing != 0; missing &= missing - 1 {
+		s := bits.TrailingZeros16(missing)
 		if s == except {
 			continue
 		}
 		if d.mediaInFlight >= maxFillBacklog {
 			return
 		}
-		s := s
-		block := page*d.cfg.AITLine + uint64(s)*d.cfg.RMWBlock
-		d.mediaAccessPri(block, false, true, func(err error) {
-			if err != nil {
-				// Poisoned speculative fill: drop it silently — the sector
-				// stays invalid and a later demand read surfaces the fault.
-				return
-			}
-			d.buf.FillSector(page, s)
-			d.dramBurst(d.dataAddr(page, s), int(d.cfg.RMWBlock/64), true, nil)
-		})
+		f := d.newHop()
+		f.page, f.sector = page, s
+		f.block = page*d.cfg.AITLine + uint64(s)*d.cfg.RMWBlock
+		d.mediaAccess(f, false, true, fillSectorFetched)
 	}
 }
 
-// aitWrite pushes one full 256B block to the AIT: table read, buffer update
-// (DRAM write), and — in write-through mode — a media write that advances
-// wear. done fires when the block is durable at the media (write-through)
-// or buffered (write-back).
-func (d *DIMM) aitWrite(block uint64, done func()) {
-	page := d.page(block)
-	sector := d.sector(block)
-	d.stats.TableReads++
-	if d.histAIT != nil {
-		start := d.eng.Now()
-		inner := done
-		done = func() {
-			d.histAIT.Observe(uint64(float64(d.eng.Now()-start) / dram.CyclesPerNano))
-			inner()
-		}
+// fillSectorFetched installs one speculative fill sector. A poisoned fill
+// is dropped silently — the sector stays invalid and a later demand read
+// surfaces the fault.
+func fillSectorFetched(f *hop) {
+	d := f.d
+	page, sector, err := f.page, f.sector, f.err
+	d.putHop(f)
+	if err != nil {
+		return
 	}
-	if d.o.Active() {
-		d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageAIT, Pos: obs.PosIssue,
-			Write: true, Comp: d.comp, Addr: block})
-	}
-	d.eng.After(d.cyc.aitLookup, func() {
-		d.aitWriteLookup(page, sector, block, done)
-	})
+	d.buf.FillSector(page, sector)
+	d.dramBurst(d.dataAddr(page, sector), int(d.cfg.RMWBlock/64), true, nil, nil)
 }
 
-// aitWriteLookup continues aitWrite after the lookup-processing delay.
-func (d *DIMM) aitWriteLookup(page uint64, sector int, block uint64, done func()) {
-	d.dramAccess(d.tableAddr(page), false, func() {
-		if !d.buf.Resident(page) {
-			d.allocateAITLine(page)
-		}
-		d.buf.WriteSector(page, sector, !d.cfg.WriteThrough)
-		burst := int(d.cfg.RMWBlock / 64)
-		if d.cfg.WriteThrough {
-			d.dramBurst(d.dataAddr(page, sector), burst, true, nil)
-			// Writes never fault in the model; the error is discarded.
-			d.mediaAccess(block, true, func(error) { done() })
-			return
-		}
-		d.dramBurst(d.dataAddr(page, sector), burst, true, done)
-	})
+// aitWrite pushes the full 256B block h.block to the AIT: table read, buffer
+// update (DRAM write), and — in write-through mode — a media write that
+// advances wear. done(h) runs when the block is durable at the media
+// (write-through) or buffered (write-back).
+func (d *DIMM) aitWrite(h *hop, done func(*hop)) {
+	d.aitStage(h, true, done)
+	d.eng.AfterFn(d.cyc.aitLookup, hopAITWriteTable, h)
+}
+
+func hopAITWriteTable(a any) {
+	h := a.(*hop)
+	h.d.dramBurst(h.d.tableAddr(h.page), 1, false, hopAITWriteLookup, h)
+}
+
+// hopAITWriteLookup continues aitWrite after the translation-table access.
+func hopAITWriteLookup(a any) {
+	h := a.(*hop)
+	d := h.d
+	if !d.buf.Resident(h.page) {
+		d.allocateAITLine(h.page)
+	}
+	d.buf.WriteSector(h.page, h.sector, !d.cfg.WriteThrough)
+	burst := int(d.cfg.RMWBlock / 64)
+	if d.cfg.WriteThrough {
+		d.dramBurst(d.dataAddr(h.page, h.sector), burst, true, nil, nil)
+		d.mediaAccess(h, true, false, aitFinished)
+		return
+	}
+	d.dramBurst(d.dataAddr(h.page, h.sector), burst, true, hopAITFinished, h)
 }
 
 // --------------------------------------------------------------- write path
@@ -601,7 +727,7 @@ func (d *DIMM) drainStep() {
 			Write: true, Comp: d.comp, Addr: g.Block})
 	}
 	d.writesInFlight++
-	d.processGroup(g, func() { d.writesInFlight-- })
+	d.processGroup(g)
 	// Pace the next drain decision by the RMW port.
 	next := d.rmwFree
 	if next <= now {
@@ -611,50 +737,55 @@ func (d *DIMM) drainStep() {
 }
 
 // processGroup applies one combined write group to the RMW buffer. Partial
-// groups against absent lines perform the read-modify-write fill first.
-func (d *DIMM) processGroup(g Group, done func()) {
+// groups against absent lines perform the read-modify-write fill first. The
+// group retires (writesInFlight, taken by the caller) once it is forwarded.
+func (d *DIMM) processGroup(g Group) {
 	at := d.rmwSlot()
-	complete := g.Complete(d.cfg.RMWBlock)
-	d.eng.Schedule(at, func() {
-		// Lazy cache intercept: hot blocks are absorbed by the persistent
-		// write cache, skipping AIT/media wear entirely.
-		if d.lazy != nil && d.lazy.WriteProbe(g.Block) {
-			d.eng.After(d.lazy.writeLat, done)
-			return
-		}
-		if !complete && !d.rmw.Peek(g.Block) {
-			// Read-modify-write: fetch the block, then apply. A poisoned
-			// fill does not block the write: the store overwrites the
-			// unreadable sector (how poison is actually cleared on Optane).
-			d.stats.PartialRMW++
-			if d.o.Active() {
-				d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageRMW, Pos: obs.PosMiss,
-					Write: true, Comp: d.comp, Addr: g.Block})
-			}
-			d.aitRead(g.Block, func(error) {
-				d.installRMW(g.Block, !d.cfg.WriteThrough)
-				d.forwardWrite(g.Block, done)
-			})
-			return
-		}
-		if d.o.Active() {
-			d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageRMW, Pos: obs.PosHit,
-				Write: true, Comp: d.comp, Addr: g.Block})
-		}
-		d.installRMW(g.Block, !d.cfg.WriteThrough)
-		d.forwardWrite(g.Block, done)
-	})
+	h := d.newHop()
+	h.block = g.Block
+	h.full = g.Complete(d.cfg.RMWBlock)
+	d.eng.ScheduleFn(at, hopApplyGroup, h)
 }
 
-// forwardWrite propagates a combined block write beyond the RMW buffer
-// according to the write policy.
-func (d *DIMM) forwardWrite(block uint64, done func()) {
-	if d.cfg.WriteThrough {
-		d.aitWrite(block, done)
+func hopApplyGroup(a any) {
+	h := a.(*hop)
+	d := h.d
+	// Lazy cache intercept: hot blocks are absorbed by the persistent write
+	// cache, skipping AIT/media wear entirely.
+	if d.lazy != nil && d.lazy.WriteProbe(h.block) {
+		d.eng.AfterFn(d.lazy.writeLat, hopWriteRetired, h)
 		return
 	}
-	d.rmw.MarkDirty(block)
-	d.eng.After(d.cyc.rmwHit, done)
+	if !h.full && !d.rmw.Peek(h.block) {
+		// Read-modify-write: fetch the block, then apply. A poisoned fill
+		// does not block the write: the store overwrites the unreadable
+		// sector (how poison is actually cleared on Optane).
+		d.stats.PartialRMW++
+		if d.o.Active() {
+			d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageRMW, Pos: obs.PosMiss,
+				Write: true, Comp: d.comp, Addr: h.block})
+		}
+		d.aitRead(h, groupFilled)
+		return
+	}
+	if d.o.Active() {
+		d.o.Emit(obs.Event{Now: d.eng.Now(), Stage: obs.StageRMW, Pos: obs.PosHit,
+			Write: true, Comp: d.comp, Addr: h.block})
+	}
+	groupFilled(h)
+}
+
+// groupFilled applies a write group whose block is in the RMW buffer or was
+// just fetched, and forwards it according to the write policy.
+func groupFilled(h *hop) {
+	d := h.d
+	d.installRMW(h.block, !d.cfg.WriteThrough)
+	if d.cfg.WriteThrough {
+		d.aitWrite(h, writeRetired)
+		return
+	}
+	d.rmw.MarkDirty(h.block)
+	d.eng.AfterFn(d.cyc.rmwHit, hopWriteRetired, h)
 }
 
 // ---------------------------------------------------------------- flush
@@ -721,7 +852,7 @@ func (s *System) Submit(r *mem.Request) bool {
 	switch r.Op {
 	case mem.OpRead:
 		r.Issued = s.eng.Now()
-		s.D.Read(r.Addr, func(err error) { r.CompleteErr(s.eng.Now(), err) })
+		s.D.Read(r.Addr, func(_ any, err error) { r.CompleteErr(s.eng.Now(), err) }, nil)
 		return true
 	case mem.OpWrite, mem.OpWriteNT, mem.OpClwb:
 		if !s.D.AcceptWrite(r.Addr, r.Data) {

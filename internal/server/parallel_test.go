@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/sim"
 )
 
 // forcePar raises GOMAXPROCS for the duration of the test so the engine's
@@ -119,5 +122,51 @@ func TestSimParallelExcludedFromHash(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestParallelByteIdenticalPooledRecords guards the recycled hop records of
+// the access path under concurrent cycle rounds: each DIMM, its on-DIMM DRAM
+// and its iMC channel recycle records on their own shard while six channels
+// run side by side. A uniform mix of loads, stores and non-temporal stores
+// with periodic fences, interleaved across six DIMMs with a lowered wear
+// threshold (so migrations stall media accesses), must give canonical bytes
+// at SimParallel=2 equal to the serial run. `make par-smoke` runs it under
+// -race.
+func TestParallelByteIdenticalPooledRecords(t *testing.T) {
+	forcePar(t, 4)
+	rng := sim.NewRNG(23)
+	var b strings.Builder
+	for i := 0; i < 3000; i++ {
+		if i%200 == 199 {
+			b.WriteString("0 mfence 0x0 0\n")
+			continue
+		}
+		op := "load"
+		switch u := rng.Float64(); {
+		case u < 0.35:
+			op = "store"
+		case u < 0.60:
+			op = "store-nt"
+		}
+		fmt.Fprintf(&b, "0 %s 0x%x 64\n", op, rng.Uint64n(1<<22/64)*64)
+	}
+	spec := JobSpec{
+		Config:   ConfigSpec{DIMMs: 6, Interleaved: true, MediaBytes: "16M", WearThreshold: 16},
+		Workload: WorkloadSpec{Kind: KindTrace, Trace: b.String()},
+		Window:   16,
+		Seed:     5,
+	}
+	p, err := spec.Compile()
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	ref, refBytes := runAtPar(t, p, 1)
+	res, got := runAtPar(t, p, 2)
+	if !bytes.Equal(refBytes, got) {
+		t.Fatalf("par 2 result differs from serial\nserial:   %s\nparallel: %s", refBytes, got)
+	}
+	if res.Hash != ref.Hash {
+		t.Fatalf("par 2 hash %s != serial hash %s", res.Hash, ref.Hash)
 	}
 }

@@ -178,9 +178,18 @@ func (e *Engine) ScheduleHome(at Cycle, fn func()) {
 	e.rootEngine().insert(e.shard, &event{at: at, fn: fn})
 }
 
-// AfterHome runs fn delay cycles from now on the home shard (see
-// ScheduleHome).
-func (e *Engine) AfterHome(delay Cycle, fn func()) { e.ScheduleHome(e.Now()+delay, fn) }
+// ScheduleHomeFn is the allocation-free variant of ScheduleHome: fn(arg)
+// runs at absolute cycle at on the home shard (see ScheduleFn). Hop records
+// that carry a completion back to driver-facing state cross shards here.
+func (e *Engine) ScheduleHomeFn(at Cycle, fn func(any), arg any) {
+	e.rootEngine().insert(e.shard, &event{at: at, afn: fn, arg: arg})
+}
+
+// AfterHomeFn runs fn(arg) delay cycles from now on the home shard (see
+// ScheduleHomeFn).
+func (e *Engine) AfterHomeFn(delay Cycle, fn func(any), arg any) {
+	e.ScheduleHomeFn(e.Now()+delay, fn, arg)
+}
 
 // DeferHome runs fn on the home shard at the current cycle: after the
 // in-flight round completes, before time advances. It is the funnel for
@@ -199,7 +208,7 @@ func (e *Engine) DeferHome(fn func()) { e.ScheduleHome(e.Now(), fn) }
 func (e *Engine) insert(caller int32, ev *event) {
 	if e.inRound {
 		if caller == 0 {
-			panic("sim: scheduling through the root engine from inside a shard round (funnel via DeferHome/AfterHome)")
+			panic("sim: scheduling through the root engine from inside a shard round (funnel via DeferHome/AfterHomeFn)")
 		}
 		if e.collecting {
 			e.par.buffer(caller, *ev)

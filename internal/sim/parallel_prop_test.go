@@ -86,7 +86,7 @@ func runShardProgram(t *testing.T, seed uint64, shards, par int) parTrace {
 			case 3: // defer to home at this cycle
 				h[s].DeferHome(child(0))
 			case 4: // home, future
-				h[s].AfterHome(delay+1, child(0))
+				h[s].AfterHomeFn(delay+1, func(a any) { fire(0, a.(uint64), depth+1) }, kid)
 			case 5: // home, absolute
 				h[s].ScheduleHome(h[s].Now()+delay, child(0))
 			default:

@@ -66,9 +66,9 @@ func (c *nearCache) loadState(dec *ckpt.Dec) error {
 // SaveState serializes the whole system at an engine-idle cut: the engine
 // clock, the iMC with every channel and DIMM, and the Memory-mode near cache
 // when present. The system must be fully quiescent — in-flight requests and
-// pending events carry completion closures that have no identity outside
-// this process, which is why the driver drains its window and runs the
-// engine dry before cutting (DESIGN.md §12).
+// pending events carry completion callbacks and hop records that have no
+// identity outside this process, which is why the driver drains its window
+// and runs the engine dry before cutting (DESIGN.md §12).
 func (s *System) SaveState(enc *ckpt.Enc) error {
 	if s.cfg.Fault.Enabled() {
 		return fmt.Errorf("ckpt: fault-injected runs cannot be checkpointed (injector streams are attempt-scoped)")

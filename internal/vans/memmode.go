@@ -64,9 +64,18 @@ func (c *nearCache) lookup(line uint64) bool {
 	return ok && got == line
 }
 
+// runFunc adapts a plain closure to the completion form of the DRAM
+// controller and the iMC. Memory mode is off the App Direct hot path and
+// keeps per-access closures.
+func runFunc(a any) { a.(func())() }
+
 // dramAccess schedules a near-DRAM access with retry-on-backpressure.
 func (c *nearCache) dramAccess(addr uint64, write bool, done func()) {
-	if !c.dramC.Schedule(addr, write, done) {
+	var fn func(any)
+	if done != nil {
+		fn = runFunc
+	}
+	if !c.dramC.Schedule(addr, write, fn, done) {
 		c.eng.After(8, func() { c.dramAccess(addr, write, done) })
 	}
 }
@@ -87,7 +96,7 @@ func (c *nearCache) read(addr uint64, done func(error)) bool {
 		return true
 	}
 	c.misses++
-	if !c.imc.Read(line, func(err error) {
+	if !c.imc.Read(line, func(_ any, err error) {
 		if err != nil {
 			finish(err)
 			return
@@ -96,7 +105,7 @@ func (c *nearCache) read(addr uint64, done func(error)) bool {
 		// The fill write to near DRAM is off the critical path.
 		c.dramAccess(line, true, nil)
 		finish(nil)
-	}) {
+	}, nil) {
 		c.inflight--
 		return false
 	}
@@ -120,10 +129,10 @@ func (c *nearCache) write(addr uint64, done func()) bool {
 		return true
 	}
 	c.misses++
-	if !c.imc.Read(line, func(error) {
+	if !c.imc.Read(line, func(any, error) {
 		c.install(line, true)
 		c.dramAccess(line, true, finish)
-	}) {
+	}, nil) {
 		c.inflight--
 		return false
 	}
@@ -139,7 +148,7 @@ func (c *nearCache) install(line uint64, dirty bool) {
 		c.inflight++
 		var push func()
 		push = func() {
-			if !c.imc.Write(victim, nil, func() { c.inflight-- }) {
+			if !c.imc.Write(victim, nil, runFunc, func() { c.inflight-- }) {
 				c.eng.After(32, push)
 			}
 		}

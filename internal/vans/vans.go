@@ -101,6 +101,12 @@ type System struct {
 	dimms []*nvdimm.DIMM
 	cache *nearCache // Memory mode only
 	o     *obs.Obs   // this system's child observability context (may be nil)
+
+	// readDone/writeDone complete a submitted request (the iMC callback
+	// argument) at the current cycle; bound once so App Direct submissions
+	// allocate nothing.
+	readDone  func(any, error)
+	writeDone func(any)
 }
 
 // New builds a System from cfg (zero fields defaulted).
@@ -115,6 +121,8 @@ func New(cfg Config) *System {
 	cfg.IMC.Interleaved = cfg.Interleaved
 	eng := sim.NewEngine()
 	s := &System{eng: eng, cfg: cfg}
+	s.readDone = func(a any, err error) { a.(*mem.Request).CompleteErr(eng.Now(), err) }
+	s.writeDone = func(a any) { a.(*mem.Request).Complete(eng.Now()) }
 	if cfg.Obs != nil {
 		s.o = cfg.Obs.Child()
 		s.o.AdoptEngine(eng)
@@ -196,13 +204,13 @@ func (s *System) Submit(r *mem.Request) bool {
 	}
 	switch r.Op {
 	case mem.OpRead:
-		ok := s.imc.Read(r.Addr, func(err error) { r.CompleteErr(s.eng.Now(), err) })
+		ok := s.imc.Read(r.Addr, s.readDone, r)
 		if ok {
 			r.Issued = s.eng.Now()
 		}
 		return ok
 	case mem.OpWrite, mem.OpWriteNT, mem.OpClwb:
-		ok := s.imc.Write(r.Addr, r.Data, func() { r.Complete(s.eng.Now()) })
+		ok := s.imc.Write(r.Addr, r.Data, s.writeDone, r)
 		if ok {
 			r.Issued = s.eng.Now()
 		}

@@ -33,7 +33,7 @@ func ChaseBlocks(region, blockSize uint64, op mem.Op, steps int, seed uint64) []
 	if nBlocks < 1 {
 		nBlocks = 1
 	}
-	perm := []int{0}
+	perm := []int32{0}
 	if nBlocks > 1 {
 		perm = sim.NewRNG(seed).PermCycle(nBlocks)
 	}
@@ -45,7 +45,7 @@ func ChaseBlocks(region, blockSize uint64, op mem.Op, steps int, seed uint64) []
 		for l := 0; l < linesPerBlock && len(accs) < steps; l++ {
 			accs = append(accs, mem.Access{Op: op, Addr: blockBase + uint64(l)*mem.CacheLine, Size: mem.CacheLine})
 		}
-		at = perm[at]
+		at = int(perm[at])
 	}
 	return accs
 }
