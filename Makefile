@@ -4,16 +4,16 @@ GO ?= go
 # microbenchmarks, and the observability hot-path (hooks-disabled overhead).
 BENCH_PKGS = ./ ./internal/sim/ ./internal/obs/
 
-.PHONY: ci build bench-build vet test race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff trace-smoke replay-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke par-smoke dash-smoke
+.PHONY: ci build bench-build vet test race fmt-check fmt fuzz-smoke fuzz bench bench-smoke bench-diff trace-smoke replay-smoke ckpt-smoke cluster-smoke cluster-demo chaos-smoke dash-smoke
 
 # ci is the gate: vet, build (the root module and the nested nvbench
 # benchmark harness), the full suite under the race detector
 # (including the nvmserved integration tests and the randomized ADR
 # crash-consistency property test), a short fuzz smoke per target, a
 # single-iteration bench smoke, a trace-export smoke, a generate-then-replay
-# smoke, a checkpoint/restore smoke, a parallel-engine byte-identity smoke, a 3-node cluster smoke, a
-# seeded chaos soak, a fleet-dashboard smoke, and a gofmt check.
-ci: vet build bench-build race fuzz-smoke bench-smoke trace-smoke replay-smoke ckpt-smoke par-smoke cluster-smoke chaos-smoke dash-smoke fmt-check
+# smoke, a checkpoint/restore smoke, a 3-node cluster smoke, a seeded chaos
+# soak, a fleet-dashboard smoke, and a gofmt check.
+ci: vet build bench-build race fuzz-smoke bench-smoke trace-smoke replay-smoke ckpt-smoke cluster-smoke chaos-smoke dash-smoke fmt-check
 
 # dash-smoke boots a 2-node in-process loopback fleet, runs one job, fetches
 # GET /v1/dashboard/data from every member, and validates the payload twice:
@@ -24,20 +24,6 @@ dash-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/nvmload -dash -dash-out $$tmp/dash.json && \
 	$(GO) run ./cmd/tracecheck -dash $$tmp/dash.json
-
-# par-smoke runs the full figure subset on both engines under the race
-# detector and byte-diffs the outputs: TestParallelByteIdentical renders
-# every canonical figure shape serially and with sharded cycle rounds
-# (-par 2 and 4) and compares canonical result bytes plus job hashes; the
-# sim-level property tests replay randomized cross-shard programs the same
-# way, including with the worker pool budget exhausted. The same -run pattern
-# also picks up TestParallelByteIdenticalPooledRecords, which replays a 6-DIMM
-# read/write mix at SimParallel=2 so the recycled hop records of concurrently
-# running channels meet the race detector. Both raise GOMAXPROCS internally so the
-# shard workers really run concurrently even on small CI hosts.
-par-smoke:
-	$(GO) test -race -count=1 ./internal/server/ -run 'TestParallelByteIdentical|TestSimParallelExcludedFromHash'
-	$(GO) test -race -count=1 ./internal/sim/ -run 'TestSharded'
 
 # chaos-smoke runs the seeded in-process chaos soak: a 3-node fleet under
 # drops, delays, duplication, slow-drip, a corruption-injecting peer, and a

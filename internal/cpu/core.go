@@ -170,8 +170,7 @@ func immediate(at sim.Cycle) *token { return &token{done: true, at: at} }
 // backpressure.
 func (c *Core) submitRetry(r *mem.Request) {
 	for !c.sys.Submit(r) {
-		fired := c.eng.Fired()
-		c.eng.RunWhile(func() bool { return c.eng.Fired() == fired })
+		c.eng.Step()
 		if c.eng.Pending() == 0 && !c.sys.Submit(r) {
 			panic("cpu: memory system rejected request with no pending events")
 		}
@@ -222,10 +221,9 @@ func (c *Core) memWrite(addr uint64, op mem.Op, at sim.Cycle) *token {
 // waitMSHR blocks until a miss slot is free.
 func (c *Core) waitMSHR() {
 	for c.outstanding >= c.cfg.MSHRs {
-		fired := c.eng.Fired()
-		c.eng.RunWhile(func() bool {
-			return c.eng.Fired() == fired && c.outstanding >= c.cfg.MSHRs
-		})
+		if !c.eng.Step() {
+			panic("cpu: every MSHR busy with no pending events")
+		}
 	}
 }
 
@@ -440,8 +438,9 @@ func (c *Core) Run(w Workload) Stats {
 	prevRetire = c.drainRetire(pending, prevRetire)
 	// Drain outstanding background traffic.
 	for c.outstanding > 0 {
-		fired := c.eng.Fired()
-		c.eng.RunWhile(func() bool { return c.eng.Fired() == fired })
+		if !c.eng.Step() {
+			panic("cpu: requests outstanding with no pending events")
+		}
 	}
 	if prevRetire > c.eng.Now() {
 		c.eng.RunUntil(prevRetire)

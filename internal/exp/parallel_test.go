@@ -44,42 +44,6 @@ func TestParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineParByteIdentical is the intra-simulation analogue: a figure
-// subset spanning the main system shapes — 6-DIMM interleaved streams and
-// chases, the RMW/AIT store path, overwrite/wear pressure, CPU-driven
-// optimization sweeps, and the reconfigured-device probers — must render
-// byte-identically with the engine executing cycle rounds on one goroutine
-// (Par=1) and on four. GOMAXPROCS is raised so the engine's pool budget
-// actually hands out workers on a single-CPU host.
-func TestEngineParByteIdentical(t *testing.T) {
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
-
-	sc := testScale()
-	sc.Opt.MaxSteps = 1200
-	sc.OverwriteIters = 150
-	sc.Instructions = 15000
-	ids := []string{"fig1a", "fig9b", "fig6a", "fig7b", "fig13d", "other-nvram"}
-
-	for _, id := range ids {
-		scSeq := sc
-		scSeq.Par = 1
-		seq, err := Run(id, scSeq)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		scPar := sc
-		scPar.Par = 4
-		par, err := Run(id, scPar)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if s, p := seq.String(), par.String(); s != p {
-			t.Errorf("%s: Par=4 output differs from Par=1\n--- serial ---\n%s\n--- parallel ---\n%s", id, s, p)
-		}
-	}
-}
-
 // TestRunManyCollectsErrors checks that one failing id does not abort the
 // batch and that outcomes keep input order.
 func TestRunManyCollectsErrors(t *testing.T) {

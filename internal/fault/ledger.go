@@ -123,9 +123,7 @@ func RunToCut(sys mem.System, accs []mem.Access, window int, cut sim.Cycle) *Led
 		if !ok || at > cut {
 			return false
 		}
-		fired := eng.Fired()
-		eng.RunWhile(func() bool { return eng.Fired() == fired })
-		return true
+		return eng.Step()
 	}
 
 	var id uint64

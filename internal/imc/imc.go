@@ -121,19 +121,12 @@ type IMC struct {
 	stats    Stats
 }
 
-// New builds an iMC over the given DIMMs (one channel each). Channel i runs
-// on engine shard i+1 and DIMM i must have been constructed on that same
-// shard handle (eng.Shard(i+1)), as vans does — so each channel's
-// queue mechanics (WPQ drain, bus turns, DIMM traffic) may execute
-// concurrently with other channels' inside one cycle round, while everything
-// that touches driver or cross-channel state funnels back through home
-// events. The iMC front doors (Read/Write/Fence/Busy) are called from home
-// context only.
+// New builds an iMC over the given DIMMs (one channel each), all on eng.
 func New(eng *sim.Engine, cfg Config, dimms []*nvdimm.DIMM) *IMC {
 	cfg = cfg.withDefaults()
 	m := &IMC{eng: eng, cfg: cfg}
 	for i, d := range dimms {
-		m.channels = append(m.channels, newChannel(eng.Shard(i+1), cfg, d, i))
+		m.channels = append(m.channels, newChannel(eng, cfg, d, i))
 	}
 	return m
 }
@@ -183,7 +176,7 @@ func (m *IMC) Unroute(ch int, local uint64) uint64 {
 	return (span*n+uint64(ch))*g + local%g
 }
 
-// Read issues a 64B read; done(arg, err) runs, as a home event, when data
+// Read issues a 64B read; done(arg, err) runs, as its own event, when data
 // arrives at the iMC, with a non-nil err when the DIMM reported an
 // uncorrectable media read (poison). It reports false when the channel's RPQ
 // is full.
@@ -192,7 +185,7 @@ func (m *IMC) Read(addr uint64, done func(any, error), arg any) bool {
 	return m.channels[ch].read(local, done, arg)
 }
 
-// Write offers a 64B store; done(arg) runs, as a home event, when the store
+// Write offers a 64B store; done(arg) runs, as its own event, when the store
 // is ADR-durable (accepted into the WPQ). It reports false when the WPQ is
 // full and cannot merge, in which case the caller retries.
 func (m *IMC) Write(addr uint64, data []byte, done func(any), arg any) bool {
@@ -256,7 +249,7 @@ type wpq = nvdimm.LSQ
 
 // Channel couples one WPQ/RPQ pair, a bus, and a DIMM.
 type Channel struct {
-	eng  *sim.Engine // this channel's shard handle (shard index + 1)
+	eng  *sim.Engine
 	cfg  Config
 	dimm *nvdimm.DIMM
 	bus  bus
@@ -278,9 +271,8 @@ type Channel struct {
 	writes   uint64
 	forwards uint64
 
-	// freeReads lists recycled read records. Reads are issued from home
-	// context and complete in home events, so only exclusive code takes or
-	// returns records; the shard events in between just carry one.
+	// freeReads lists recycled read records: read takes one, chanReadReturn
+	// gives it back.
 	freeReads *chanRead
 
 	o        *obs.Obs
@@ -321,7 +313,7 @@ func (ch *Channel) busy() bool {
 
 // chanRead is the record of one read in flight through a channel: RPQ
 // slot, DDR-T request transfer, DIMM service, return transfer, and the
-// home-event hand-back to the caller.
+// hand-back to the caller.
 type chanRead struct {
 	ch   *Channel
 	addr uint64
@@ -357,11 +349,7 @@ func (ch *Channel) read(addr uint64, done func(any, error), arg any) bool {
 			ch.o.Emit(obs.Event{Now: ch.eng.Now(), Stage: obs.StageWPQ, Pos: obs.PosHit,
 				Comp: ch.comp, Addr: addr})
 		}
-		// Completion invokes the caller's callback, so it runs as a home
-		// event; rpqInFlight is thereby home-owned (bumped here in driver
-		// context, decremented in home completions) and never touched by
-		// shard events.
-		ch.eng.AfterHomeFn(ch.readOverCyc/2, chanReadReturn, r)
+		ch.eng.AfterFn(ch.readOverCyc/2, chanReadReturn, r)
 		return true
 	}
 	start := ch.bus.acquire(ch.eng.Now(), false)
@@ -377,17 +365,16 @@ func chanReadIssue(a any) {
 
 // chanReadData reserves the return transfer for the DIMM's data. Poison
 // rides the same transfer as data would: DDR-T signals the error in-band, so
-// timing is unchanged. The bus reservation happens here on the channel's
-// shard; only the final hand-back crosses to a home event.
+// timing is unchanged.
 func chanReadData(a any, err error) {
 	r := a.(*chanRead)
 	ch := r.ch
 	r.err = err
 	ret := ch.bus.acquire(ch.eng.Now(), false)
-	ch.eng.ScheduleHomeFn(ret+ch.transferCyc+ch.readOverCyc/2, chanReadReturn, r)
+	ch.eng.ScheduleFn(ret+ch.transferCyc+ch.readOverCyc/2, chanReadReturn, r)
 }
 
-// chanReadReturn completes a read at the iMC (home event).
+// chanReadReturn completes a read at the iMC.
 func chanReadReturn(a any) {
 	r := a.(*chanRead)
 	ch := r.ch
@@ -421,7 +408,7 @@ func (ch *Channel) write(addr uint64, data []byte, done func(any), arg any) bool
 	}
 	ch.pendingData(addr, data)
 	ch.kickDrain()
-	ch.eng.AfterHomeFn(ch.writeAccCyc, done, arg)
+	ch.eng.AfterFn(ch.writeAccCyc, done, arg)
 	return true
 }
 
@@ -493,10 +480,10 @@ func (ch *Channel) drainPush() {
 	ch.eng.AfterFn(ch.drainCyc, chanDrainStep, ch)
 }
 
-// fence drains the WPQ then flushes the DIMM. done decrements a counter
-// shared across channels (IMC.Fence), so the DIMM's flush notification —
-// which fires inside a shard event — is funneled to a home event at the same
-// cycle before done runs.
+// fence drains the WPQ then flushes the DIMM. done runs as its own event at
+// the cycle the DIMM reports the flush complete; like the read and write
+// hand-backs, it stays a separate event because event counts are part of
+// every pinned digest.
 func (ch *Channel) fence(done func()) {
 	var wait func()
 	wait = func() {
@@ -505,7 +492,7 @@ func (ch *Channel) fence(done func()) {
 			ch.eng.After(ch.drainCyc, wait)
 			return
 		}
-		ch.dimm.Flush(func() { ch.eng.DeferHome(done) })
+		ch.dimm.Flush(func() { ch.eng.Schedule(ch.eng.Now(), done) })
 	}
 	ch.eng.After(1, wait)
 }

@@ -208,8 +208,8 @@ func (d *DIMM) dataAddr(page uint64, sector int) uint64 {
 // victim write-back, one speculative line-fill sector, or a DRAM retry. Each
 // event is a package-level func(any) taking the record, so the steady-state
 // access path allocates nothing. Records come from the DIMM's free list and
-// return to it when the operation ends; only events of the DIMM's own shard
-// take or return them (see DESIGN.md, "Allocation discipline").
+// return to it when the operation ends (see DESIGN.md, "Allocation
+// discipline").
 type hop struct {
 	d      *DIMM
 	block  uint64 // 256B block in CPU address space

@@ -13,11 +13,10 @@ import (
 
 // TestGoldenRunChainLatencies pins, to values recorded once, the per-access
 // latency vector of a seeded mixed dependent chain and the elapsed span of a
-// windowed replay of the same stream on the reference model. Its engine is
-// never sharded, so every event fires on the home shard: together with the
-// vans golden outputs in internal/server this catches a change to event
-// order on an unsharded engine, which identity tests comparing two runs of
-// the same code cannot.
+// windowed replay of the same stream on the reference model. Together with
+// the vans golden outputs in internal/server this catches a change to event
+// order in the engine, which identity tests comparing two runs of the same
+// code cannot.
 func TestGoldenRunChainLatencies(t *testing.T) {
 	s := New(Config{Params: DefaultParams(), DIMMs: 2, Interleaved: true, Seed: 4})
 	d := mem.NewDriver(s)

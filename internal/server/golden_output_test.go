@@ -63,7 +63,7 @@ func goldenEngineCounts(t *testing.T, p *Plan) (fired uint64, peak int, elapsed 
 // TestGoldenOutput pins the simulated output of a fixed set of specs to
 // values recorded once: the SHA-256 of the canonical result bytes plus the
 // engine's fired-event count and peak pending depth. Unlike the identity
-// tests (serial vs parallel, resumed vs straight), which compare two runs of
+// tests (resumed vs straight, concurrent runners), which compare two runs of
 // the same code, these constants catch a change that alters every run alike
 // — an event reordering in the engine, say. A legitimate model change must
 // update them deliberately.

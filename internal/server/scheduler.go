@@ -134,12 +134,6 @@ type Options struct {
 	// interrupted jobs resume from their last snapshot when resubmitted.
 	// Empty disables durability.
 	StateDir string
-	// SimParallel is the intra-simulation parallelism each worker's Runner
-	// uses (engine cycle rounds executed by up to N goroutines, drawn from
-	// the shared pool budget so worker-level and intra-sim fan-out never
-	// oversubscribe GOMAXPROCS). <= 1 runs each simulation serially.
-	// Results and job hashes are unaffected. Default 0 (serial).
-	SimParallel int
 }
 
 func (o Options) withDefaults() Options {
@@ -417,7 +411,6 @@ func (s *Server) worker() {
 		s.wg.Done()
 	}()
 	rn := NewRunner()
-	rn.SimParallel = s.opts.SimParallel
 	for j := range s.queue {
 		s.runJob(rn, j)
 	}

@@ -49,7 +49,7 @@ func TestEngineCheckpointRoundTrip(t *testing.T) {
 
 // TestEngineCheckpointRejectsClosures: a pending event holds a callback with
 // no serializable identity, so SaveState on a non-idle engine must fail —
-// whichever Schedule variant or shard handle queued the event — and so must
+// whichever Schedule variant queued the event — and so must
 // restoring into one, whose events would collide with the restored seq.
 func TestEngineCheckpointRejectsClosures(t *testing.T) {
 	var idle ckpt.Enc
@@ -59,7 +59,6 @@ func TestEngineCheckpointRejectsClosures(t *testing.T) {
 	for name, queue := range map[string]func(e *Engine){
 		"Schedule":   func(e *Engine) { e.After(10, func() {}) },
 		"ScheduleFn": func(e *Engine) { e.AfterFn(0, func(any) {}, nil) },
-		"shard":      func(e *Engine) { e.Shard(2).After(5, func() {}) },
 	} {
 		eng := NewEngine()
 		queue(eng)

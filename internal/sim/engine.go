@@ -21,19 +21,14 @@ const Never = Cycle(1<<63 - 1)
 // fn/afn is set; afn is invoked with arg, letting recurring callers schedule
 // without allocating a fresh closure per event (see ScheduleFn).
 //
-// shard is the event's shard (see Shard): shard 0 is the home shard, whose
-// events may touch anything and therefore always run exclusively; a nonzero
-// shard promises the callback only touches that shard's state, which is what
-// lets a round of same-cycle events from distinct shards execute
-// concurrently. The record is 56 bytes — heap traffic is the engine's
-// hottest path, and every extra word is copied on each push, pop, and sift.
+// The record is 48 bytes — heap traffic is the engine's hottest path, and
+// every extra word is copied on each push, pop, and sift.
 type event struct {
-	at    Cycle
-	seq   uint64
-	shard int32
-	fn    func()
-	afn   func(any)
-	arg   any
+	at  Cycle
+	seq uint64
+	fn  func()
+	afn func(any)
+	arg any
 }
 
 // before orders events by (at, seq): earliest cycle first, scheduling order
@@ -53,37 +48,17 @@ func (a *event) before(b *event) bool {
 // current cycle, which skip the heap entirely. The (at, seq) total order is
 // preserved across both: every event carries a globally increasing sequence
 // number, and the dispatcher always takes the least (at, seq) event next.
+// Each dispatch fires exactly one event.
 //
-// There is one dispatch path. A home (shard 0) event fires alone; a shard
-// event fires as part of a round with the same-cycle shard events behind it
-// (see parallel.go). An engine that never hands out shard handles simply
-// holds only home events.
-//
-// The zero value is ready to use. Engine is not safe for concurrent use from
-// outside; the simulation model here is single-threaded by design
-// (determinism first). The one sanctioned form of concurrency lives inside
-// the engine itself: shard-tagged same-cycle events may execute on worker
-// goroutines between two deterministic barriers (see Shard, SetParallel, and
-// parallel.go), with every observable ordering — (cycle, seq) assignment,
-// fired/peak counters, queue contents — identical to serial execution.
+// The zero value is ready to use. Engine is not safe for concurrent use; the
+// simulation model is single-threaded by design (determinism first).
+// Parallelism lives one level up: independent simulations, each on its own
+// engine, fan out over the worker pool (pool.ForEach).
 type Engine struct {
 	now   Cycle
 	seq   uint64
 	fired uint64
 	peak  int // high-water mark of Pending(), updated on every schedule
-
-	// inRound is true while the events of a shard round execute; scheduling
-	// through the root handle is a funneling bug then and panics. collecting
-	// is additionally true while workers may run concurrently, diverting
-	// shard-handle schedules into per-shard side buffers. Both sit next to
-	// the clock so the insertion path tests them on the same cache line.
-	inRound    bool
-	collecting bool
-
-	// groupRemain counts round events already popped from the queues but
-	// not yet executed, so Pending() and the peak accounting during an
-	// inline round match pure per-event stepping exactly.
-	groupRemain int
 
 	// heap holds events with at > now (at insertion time), ordered as a
 	// 4-ary min-heap by (at, seq).
@@ -95,50 +70,30 @@ type Engine struct {
 	// can be earlier). Entries are in increasing seq order by construction.
 	nowq    []event
 	nowHead int
-
-	// root is non-nil on shard handles returned by Shard: a handle shares
-	// all queue state with its root engine and only contributes its shard
-	// tag to events scheduled through it. shard is the handle's tag (0 on
-	// a root engine). par holds the round-execution state (parallel.go);
-	// Shard creates it, so every engine holding shard events has one.
-	root  *Engine
-	shard int32
-	par   *parEngine
 }
 
 // NewEngine returns an engine starting at cycle 0.
 func NewEngine() *Engine { return &Engine{} }
 
-// rootEngine resolves a shard handle to the engine owning the state.
-func (e *Engine) rootEngine() *Engine {
-	if e.root != nil {
-		return e.root
-	}
-	return e
-}
-
 // Now returns the current simulation time.
-func (e *Engine) Now() Cycle { return e.rootEngine().now }
+func (e *Engine) Now() Cycle { return e.now }
 
 // Fired returns the total number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.rootEngine().fired }
+func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of scheduled, not yet executed events.
-func (e *Engine) Pending() int {
-	r := e.rootEngine()
-	return len(r.heap) + len(r.nowq) - r.nowHead + r.groupRemain
-}
+func (e *Engine) Pending() int { return len(e.heap) + len(e.nowq) - e.nowHead }
 
 // PeakPending returns the highest Pending() observed across the run — the
 // peak queue depth reported in observability digests.
-func (e *Engine) PeakPending() int { return e.rootEngine().peak }
+func (e *Engine) PeakPending() int { return e.peak }
 
 // NextAt peeks at the timestamp of the earliest pending event. ok is false
 // when no events are scheduled. Used by drivers that must stop the
 // simulation at an exact cycle (power-fail cuts) without firing anything
 // beyond it.
 func (e *Engine) NextAt() (Cycle, bool) {
-	if h, _ := e.rootEngine().head(); h != nil {
+	if h, _ := e.head(); h != nil {
 		return h.at, true
 	}
 	return 0, false
@@ -147,7 +102,7 @@ func (e *Engine) NextAt() (Cycle, bool) {
 // Schedule runs fn at absolute cycle at. Scheduling in the past (at < Now) is
 // treated as "now": the event fires before time advances further.
 func (e *Engine) Schedule(at Cycle, fn func()) {
-	e.rootEngine().insert(e.shard, &event{at: at, shard: e.shard, fn: fn})
+	e.insert(&event{at: at, fn: fn})
 }
 
 // After runs fn delay cycles from now.
@@ -159,7 +114,7 @@ func (e *Engine) After(delay Cycle, fn func()) { e.Schedule(e.Now()+delay, fn) }
 // retry loops) schedule themselves without allocating a fresh closure per
 // event.
 func (e *Engine) ScheduleFn(at Cycle, fn func(any), arg any) {
-	e.rootEngine().insert(e.shard, &event{at: at, shard: e.shard, afn: fn, arg: arg})
+	e.insert(&event{at: at, afn: fn, arg: arg})
 }
 
 // AfterFn runs fn(arg) delay cycles from now (the allocation-free variant of
@@ -168,53 +123,10 @@ func (e *Engine) AfterFn(delay Cycle, fn func(any), arg any) {
 	e.ScheduleFn(e.Now()+delay, fn, arg)
 }
 
-// ScheduleHome runs fn at absolute cycle at on the home shard (shard 0),
-// regardless of which shard handle the call goes through. Home events run
-// exclusively, so this is how shard-local code hands a result to cross-shard
-// state: a completion that must invoke a driver callback, decrement a
-// counter shared across channels, or touch the iMC schedules the touching
-// part home instead of doing it in place.
-func (e *Engine) ScheduleHome(at Cycle, fn func()) {
-	e.rootEngine().insert(e.shard, &event{at: at, fn: fn})
-}
-
-// ScheduleHomeFn is the allocation-free variant of ScheduleHome: fn(arg)
-// runs at absolute cycle at on the home shard (see ScheduleFn). Hop records
-// that carry a completion back to driver-facing state cross shards here.
-func (e *Engine) ScheduleHomeFn(at Cycle, fn func(any), arg any) {
-	e.rootEngine().insert(e.shard, &event{at: at, afn: fn, arg: arg})
-}
-
-// AfterHomeFn runs fn(arg) delay cycles from now on the home shard (see
-// ScheduleHomeFn).
-func (e *Engine) AfterHomeFn(delay Cycle, fn func(any), arg any) {
-	e.ScheduleHomeFn(e.Now()+delay, fn, arg)
-}
-
-// DeferHome runs fn on the home shard at the current cycle: after the
-// in-flight round completes, before time advances. It is the funnel for
-// cross-shard effects that must stay at the same timestamp (fence
-// completions, read returns).
-func (e *Engine) DeferHome(fn func()) { e.ScheduleHome(e.Now(), fn) }
-
-// insert is the single insertion point behind every Schedule variant. caller
-// is the shard whose handle issued the call (0 for the root handle); ev, a
-// caller-stack record insert stamps and copies (passing it by pointer
-// measured cheaper than by value), carries the target shard. During an executing round, calls from shard
-// events are buffered per shard and merged deterministically at the barrier
-// (parallel rounds) or inserted directly (inline rounds) — either way the
-// resulting (cycle, seq) assignment is the one pure serial execution would
-// produce.
-func (e *Engine) insert(caller int32, ev *event) {
-	if e.inRound {
-		if caller == 0 {
-			panic("sim: scheduling through the root engine from inside a shard round (funnel via DeferHome/AfterHomeFn)")
-		}
-		if e.collecting {
-			e.par.buffer(caller, *ev)
-			return
-		}
-	}
+// insert is the single insertion point behind every Schedule variant. ev is
+// a caller-stack record insert stamps and copies (passing it by pointer
+// measured cheaper than by value).
+func (e *Engine) insert(ev *event) {
 	e.seq++
 	ev.seq = e.seq
 	if ev.at <= e.now {
@@ -223,7 +135,7 @@ func (e *Engine) insert(caller int32, ev *event) {
 	} else {
 		e.heapPush(*ev)
 	}
-	if p := len(e.heap) + len(e.nowq) - e.nowHead + e.groupRemain; p > e.peak {
+	if p := e.Pending(); p > e.peak {
 		e.peak = p
 	}
 }
@@ -260,9 +172,8 @@ func (e *Engine) popFIFO() event {
 }
 
 // dispatch is the engine's one dispatch primitive. It pops the earliest
-// pending event if its timestamp is <= deadline and advances time to it: a
-// home event then fires alone, a shard event as the lead of a round (see
-// runRound). It reports false, changing nothing, when no event is due.
+// pending event if its timestamp is <= deadline, advances time to it and
+// fires it. It reports false, changing nothing, when no event is due.
 func (e *Engine) dispatch(deadline Cycle) bool {
 	h, inHeap := e.head()
 	if h == nil || h.at > deadline {
@@ -275,10 +186,6 @@ func (e *Engine) dispatch(deadline Cycle) bool {
 		ev = e.popFIFO()
 	}
 	e.now = ev.at
-	if ev.shard != 0 {
-		e.runRound(&ev)
-		return true
-	}
 	e.fired++
 	if ev.fn != nil {
 		ev.fn()
@@ -288,33 +195,30 @@ func (e *Engine) dispatch(deadline Cycle) bool {
 	return true
 }
 
+// Step fires the earliest pending event, reporting false when none is
+// pending.
+func (e *Engine) Step() bool { return e.dispatch(^Cycle(0)) }
+
 // Run executes events until the queue is empty.
 func (e *Engine) Run() {
-	r := e.rootEngine()
-	for r.dispatch(^Cycle(0)) {
+	for e.Step() {
 	}
 }
 
 // RunUntil executes events with timestamp <= deadline, then sets Now to
-// deadline if the simulation has not already passed it. Rounds never span
-// cycles, so the cut lands exactly at deadline.
+// deadline if the simulation has not already passed it.
 func (e *Engine) RunUntil(deadline Cycle) {
-	r := e.rootEngine()
-	for r.dispatch(deadline) {
+	for e.dispatch(deadline) {
 	}
-	if r.now < deadline {
-		r.now = deadline
+	if e.now < deadline {
+		e.now = deadline
 	}
 }
 
 // RunWhile executes events until cond reports false or no events remain.
-// cond is checked before each dispatch: a single home event or a whole
-// round. Round granularity is intrinsic — it does not vary with
-// SetParallel — so pump loops built on RunWhile observe identical progress
-// at every parallelism level.
+// cond is checked before every event.
 func (e *Engine) RunWhile(cond func() bool) {
-	r := e.rootEngine()
-	for cond() && r.dispatch(^Cycle(0)) {
+	for cond() && e.Step() {
 	}
 }
 

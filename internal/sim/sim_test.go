@@ -91,6 +91,38 @@ func TestEngineRunWhile(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("count = %d, want 3", count)
 	}
+
+	// cond is checked before every event, also between events of one
+	// cycle: flipping it in the first of three same-cycle events stops the
+	// run after exactly that one.
+	e = NewEngine()
+	stop := false
+	e.Schedule(5, func() { stop = true })
+	e.Schedule(5, func() {})
+	e.Schedule(5, func() {})
+	e.RunWhile(func() bool { return !stop })
+	if e.Fired() != 1 || e.Pending() != 2 || e.Now() != 5 {
+		t.Fatalf("same-cycle stop: fired %d pending %d now %d, want 1, 2, 5", e.Fired(), e.Pending(), e.Now())
+	}
+}
+
+func TestEngineStep(t *testing.T) {
+	e := NewEngine()
+	if e.Step() {
+		t.Fatal("Step on an empty engine reported an event")
+	}
+	var order []int
+	e.Schedule(3, func() { order = append(order, 1) })
+	e.Schedule(3, func() { order = append(order, 2) })
+	e.Schedule(7, func() { order = append(order, 3) })
+	for want := 1; want <= 3; want++ {
+		if !e.Step() || len(order) != want || e.Fired() != uint64(want) {
+			t.Fatalf("step %d: order %v fired %d", want, order, e.Fired())
+		}
+	}
+	if e.Step() || e.Now() != 7 {
+		t.Fatalf("drained engine: Step reported an event or now %d != 7", e.Now())
+	}
 }
 
 func TestQueueFIFOAndBounds(t *testing.T) {

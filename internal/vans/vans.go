@@ -65,11 +65,7 @@ type Config struct {
 	// Runtime-only: never serialized, never part of a config hash.
 	Obs *obs.Obs `json:"-"`
 
-	// Parallel sets how many goroutines may execute one engine cycle round
-	// (<= 1 fully serial). Per-channel events are sharded either way, so
-	// simulation output is byte-identical at every setting — this is an
-	// execution-strategy knob, never semantic. Runtime-only: never
-	// serialized, never part of a config or job hash.
+	// Deprecated: ignored; the engine is serial.
 	Parallel int `json:"-"`
 }
 
@@ -144,19 +140,9 @@ func New(cfg Config) *System {
 			sp.Seed += uint64(i) * 0x9e3779b9
 			nvCfg.Injector = fault.NewInjector(sp, cfg.FaultAttempt)
 		}
-		// DIMM i lives on engine shard i+1, shared with iMC channel i: the
-		// pair's events may run concurrently with other channels' within a
-		// cycle round, with driver-facing completions funneled through home
-		// events (see imc.New).
-		s.dimms = append(s.dimms, nvdimm.New(eng.Shard(i+1), nvCfg, cfg.Seed+uint64(i)*7919))
+		s.dimms = append(s.dimms, nvdimm.New(eng, nvCfg, cfg.Seed+uint64(i)*7919))
 	}
 	s.imc = imc.New(eng, cfg.IMC, s.dimms)
-	eng.SetParallel(cfg.Parallel)
-	if s.o != nil {
-		// Lifecycle tracing appends to a shared buffer; while it is active,
-		// rounds execute inline (same round structure, same output).
-		eng.SetParallelGate(s.o.Active)
-	}
 	if cfg.Mode == MemoryMode {
 		size := cfg.DRAMCacheBytes
 		if size == 0 {
